@@ -5,6 +5,15 @@ candidate vertices (everything the pruning predicates cannot rule out), then
 recheck candidates against exact keyword sets, order query vertices into a
 connected plan, and backtrack over the plan to enumerate answer mappings.
 
+Backtracking keeps each pair's neighbor-difference count as the mapping
+grows. A count can only grow as the mapping is extended, so the bound that
+prunes the tree holds for partial mappings too: a partial mapping whose
+partial aggregate already exceeds ``sigma`` is cut off, and for each query
+vertex only the local pool is tried: the candidates adjacent to as many of
+the earlier-mapped neighbors' images as the remaining budget requires. Both
+skip only mappings that could never score within ``sigma``, so neither
+loses an answer.
+
 Traversal keeps, per tree node, the subset of query vertices the node is
 still live for. A child inherits its parent's live set minus the query
 vertices its own aggregates rule out; a node with an empty live set is never
@@ -33,7 +42,6 @@ from .semantics import (
     AggregateKind,
     MatchAnswer,
     QuerySpec,
-    aggregated_neighbor_difference,
     is_answer,
     keyword_feasible,
     sort_answers,
@@ -321,55 +329,104 @@ def refine(
 ) -> list[MatchAnswer]:
     """Backtrack over the plan and keep every mapping passing the full predicate.
 
+    Neighbor-difference counts are kept per query vertex as the mapping
+    grows: mapping ``plan[dep]`` to ``v`` bumps both ends of every edge to
+    an earlier-mapped query neighbor whose image is not adjacent to ``v``.
+    A count only grows as the mapping is extended, so a partial mapping
+    whose partial aggregate exceeds ``sigma`` can never be completed into
+    an answer, and it is cut off before the look-ahead and the recursion.
+    Under MAX that means more than ``sigma`` bumps, or a bump to a neighbor
+    already at ``sigma``; under SUM, a running total plus two per bump
+    above ``sigma``.
+
+    The same budget narrows the candidates tried for ``plan[dep]``, the
+    local pool. ``v`` must be adjacent to the image of every neighbor that
+    cannot take another bump (under MAX one already at ``sigma``, under SUM
+    every neighbor once no bump is left), so only the common neighborhood
+    of those images is tried. Otherwise, when fewer bumps are left than
+    there are earlier-mapped neighbors, ``v`` must be adjacent to at least
+    one of their images, so only the union of their neighborhoods is tried.
+    Either way every vertex skipped is one the cutoff would reject.
+
     The look-ahead skips a candidate that is adjacent neither to an already
     mapped vertex nor to any candidate of a later plan position: such a
     vertex would end up isolated in the induced image, so skipping it can
     never lose an answer. Single-vertex queries skip the look-ahead since a
-    lone vertex is trivially connected.
+    lone vertex is trivially connected. Every complete mapping still has to
+    pass :func:`is_answer`, which also checks that the image is connected.
     """
     nq = q.vertex_count
-    cand_lists = [sorted(int(v) for v in c) for c in candidates]
+    cand_lists = [sorted(np.asarray(c, dtype=np.int64).tolist()) for c in candidates]
     cand_sets = [set(c) for c in cand_lists]
     if any(not c for c in cand_lists):
         return []
+    adjacency = g.adjacency_sets
+    is_max = aggregate is AggregateKind.MAX
+    depth_of = {qj: dep for dep, qj in enumerate(plan)}
+    # the query neighbors of plan[dep] that the plan maps before it
+    earlier_of = [
+        [ql for ql in q.adjacency[qj] if depth_of[ql] < dep]
+        for dep, qj in enumerate(plan)
+    ]
+    # every candidate of a plan position after dep
+    later_of: list[set[int]] = [set()]
+    for qj in plan[:0:-1]:
+        later_of.append(later_of[-1] | cand_sets[qj])
+    later_of.reverse()
     mapping = [-1] * nq
     used: set[int] = set()
+    nd = [0] * nq  # neighbor-difference counts among the mapped pairs
     answers: list[MatchAnswer] = []
 
     def connectable(v: int, dep: int) -> bool:
-        adj = g.adjacency_sets[v]
-        if any(m in adj for m in used):
-            return True
-        for later in plan[dep + 1 :]:
-            if not adj.isdisjoint(cand_sets[later]):
-                return True
-        return False
+        adj = adjacency[v]
+        return not adj.isdisjoint(used) or not adj.isdisjoint(later_of[dep])
 
-    def dfs(dep: int) -> None:
+    def dfs(dep: int, total: int) -> None:
         if dep == nq:
             full = tuple(mapping)
             if is_answer(g, q, full, aggregate, sigma):
-                answers.append(
-                    MatchAnswer(
-                        mapping=full,
-                        vertex_set=frozenset(full),
-                        and_score=aggregated_neighbor_difference(g, q, full, aggregate),
-                    )
-                )
+                score = max(nd) if is_max else total
+                answers.append(MatchAnswer(full, frozenset(full), score))
             return
         qj = plan[dep]
-        for v in cand_lists[qj]:
+        earlier = earlier_of[dep]
+        images = [mapping[ql] for ql in earlier]
+        # how many bumps v may cause
+        budget = sigma if is_max else (sigma - total) // 2
+        if is_max:
+            saturated = [m for ql, m in zip(earlier, images) if nd[ql] == sigma]
+        else:
+            saturated = images if budget == 0 else []
+        if saturated:
+            pool = cand_sets[qj].intersection(*(adjacency[m] for m in saturated))
+        elif budget < len(images):
+            pool = set().union(*(adjacency[m] & cand_sets[qj] for m in images))
+        else:
+            pool = cand_lists[qj]
+        for v in pool:
             if v in used:
+                continue
+            adj = adjacency[v]
+            bumps = [ql for ql, m in zip(earlier, images) if m not in adj]
+            # a bump to a neighbor at sigma is ruled out by the pool
+            if len(bumps) > budget:
                 continue
             if look_ahead and nq > 1 and not connectable(v, dep):
                 continue
             mapping[qj] = v
             used.add(v)
-            dfs(dep + 1)
+            nd[qj] = len(bumps)
+            for ql in bumps:
+                nd[ql] += 1
+            dfs(dep + 1, total + 2 * len(bumps))
+            for ql in bumps:
+                nd[ql] -= 1
+            nd[qj] = 0
             used.discard(v)
             mapping[qj] = -1
 
-    dfs(0)
+    dfs(0, 0)
     return sort_answers(answers)
 
 

@@ -146,3 +146,47 @@ def test_bad_aggregate_is_an_argparse_error(team_files):
 def test_missing_subcommand_is_an_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def assert_one_line_error(capsys, argv, needle: str) -> None:
+    assert main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("s3and: error: ")
+    assert needle in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_missing_graph_file_is_a_one_line_error(team_files, tmp_path, capsys):
+    _, query = team_files
+    missing = tmp_path / "absent.graph"
+    assert_one_line_error(
+        capsys,
+        ["baseline", "--graph", missing, "--query", query, "--agg", "max", "--sigma", 1],
+        "absent.graph",
+    )
+
+
+def test_negative_sigma_is_a_one_line_error(team_files, capsys):
+    graph, query = team_files
+    assert_one_line_error(
+        capsys,
+        ["oracle", "--graph", graph, "--query", query, "--agg", "sum", "--sigma", -1],
+        "sigma must be non-negative",
+    )
+
+
+def test_index_with_bad_magic_is_a_one_line_error(team_files, tmp_path, capsys):
+    graph, query = team_files
+    idx = tmp_path / "bad.idx"
+    idx.write_bytes(b"NOTANIDX" + bytes(64))
+    assert_one_line_error(
+        capsys,
+        [
+            "query", "--index", idx, "--graph", graph, "--query", query,
+            "--agg", "max", "--sigma", 1,
+        ],
+        "bad magic",
+    )

@@ -11,10 +11,12 @@ from s3and import (
     IndexConfig,
     QuerySpec,
     SignatureConfig,
+    aggregated_neighbor_difference,
     build_index,
     build_query_side,
     collect_candidates,
     exact_keyword_filter,
+    is_answer,
     keyword_feasible,
     make_graph,
     make_query_plan,
@@ -223,19 +225,70 @@ def test_refine_matches_sigma_zero_embedding_enumeration():
         assert all(a.and_score == 0 for a in got)
 
 
-def test_refine_look_ahead_is_lossless():
+def refine_instances():
+    """Instances with their exact keyword candidate lists.
+
+    Eight random ones, plus a K4 query over a triangle with a pendant
+    vertex: there the last query vertex mapped has three earlier neighbors,
+    so one image adjacent to it, not all three, decides its pool and its
+    bump count. Random sampled queries are too sparse for that.
+    """
     rng = np.random.default_rng(12)
-    for _ in range(8):
-        g, q = random_instance(rng, max_vertices=35)
+    pairs = [random_instance(rng, max_vertices=35) for _ in range(8)]
+    pairs.append(
+        (
+            make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)], [[0]] * 4, ["k"]),
+            make_graph(4, list(itertools.combinations(range(4), 2)), [[0]] * 4, ["k"]),
+        )
+    )
+    out = []
+    for g, q in pairs:
         cands = [
             [vi for vi in range(g.vertex_count) if keyword_feasible(g, q, qj, vi)]
             for qj in range(q.vertex_count)
         ]
-        plan = make_query_plan(q, cands)
-        sigma = int(rng.integers(0, 3))
-        with_la = refine(g, q, plan, cands, SUM, sigma, look_ahead=True)
-        without = refine(g, q, plan, cands, SUM, sigma, look_ahead=False)
-        assert mapping_set(with_la) == mapping_set(without)
+        out.append((g, q, cands))
+    return out
+
+
+def scored(answers) -> list:
+    return [(a.mapping, a.and_score) for a in answers]
+
+
+def test_refine_look_ahead_is_lossless():
+    # with and without the look-ahead, from either plan, refine returns the
+    # oracle's mappings and scores in the oracle's order
+    for g, q, cands in refine_instances():
+        for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
+            expect = scored(oracle_search(g, q, aggregate, sigma))
+            for prefer_small in (True, False):
+                plan = make_query_plan(q, cands, prefer_small=prefer_small)
+                for look_ahead in (True, False):
+                    got = refine(g, q, plan, cands, aggregate, sigma, look_ahead)
+                    assert scored(got) == expect, (aggregate, sigma, plan, look_ahead)
+
+
+def test_refine_never_scores_an_over_budget_mapping(monkeypatch):
+    # the partial-score cutoff keeps every complete mapping within sigma, so
+    # is_answer only ever has connectivity left to reject
+    checked = []
+    over = []
+
+    def spy(g, q, mapping, aggregate, sigma):
+        checked.append(mapping)
+        score = aggregated_neighbor_difference(g, q, mapping, aggregate)
+        if score > sigma:
+            over.append((mapping, aggregate, score, sigma))
+        return is_answer(g, q, mapping, aggregate, sigma)
+
+    monkeypatch.setattr("s3and.engine.is_answer", spy)
+    for g, q, cands in refine_instances():
+        for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
+            for prefer_small in (True, False):
+                plan = make_query_plan(q, cands, prefer_small=prefer_small)
+                refine(g, q, plan, cands, aggregate, sigma)
+    assert checked
+    assert over == []
 
 
 # --- full pipeline --------------------------------------------------------
