@@ -38,20 +38,20 @@ print(f"tree:  {index.node_count()} nodes, {index.leaf_count()} leaves, "
 
 # Leaves hold at most `fanout` vertices each; the balance constraint keeps
 # sibling subtrees within a small factor of each other.
-sizes = collections.Counter(
-    len(node.members) for node, _ in index.iter_nodes() if node.is_leaf
-)
+sizes = collections.Counter(index.leaf_sizes.tolist())
 print("leaf size histogram:", dict(sorted(sizes.items())))
 
-by_depth = collections.Counter(depth for _, depth in index.iter_nodes())
-print("nodes per depth:    ", dict(sorted(by_depth.items())))
+# Nodes are numbered breadth-first, so each depth is one run of node ids,
+# and the next depth has as many nodes as this one has children.
+by_depth = []
+lo, hi = 0, 1
+while lo < hi:
+    by_depth.append(hi - lo)
+    lo, hi = hi, hi + int(index.child_counts[lo:hi].sum())
+print("nodes per depth:    ", dict(enumerate(by_depth)))
 
-# The root aggregate covers every vertex's bits, so it can never prune a
-# keyword that exists anywhere in the graph.
-root = index.root
-print(f"root nk_max (largest neighborhood keyword count): {root.nk_max}")
-
-# Persistence: one little-endian binary file, deterministic bytes.
+# Persistence: one little-endian binary file, deterministic bytes. It holds
+# the tree's shape but no node aggregates; loading derives them again.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.idx"
     save_index(index, path)

@@ -56,12 +56,3 @@ for level in Ablation.LEVELS:
         f"nodes visited {res.stats.nodes_visited:4d}   "
         f"candidates {res.stats.candidates_per_qvertex}"
     )
-
-# The traversal is level-synchronous, so the visit order names change
-# nothing: same answers, same number of visited nodes.
-for traversal in ("heap", "fifo", "lifo"):
-    res = run_query(index, g, spec, traversal=traversal, compiled=False)
-    print(
-        f"traversal {traversal:<5} -> {res.stats.answers} answers, "
-        f"{res.stats.nodes_visited} nodes visited"
-    )

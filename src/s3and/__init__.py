@@ -65,7 +65,6 @@ from .index import (
     IndexConfig,
     IndexFormatError,
     IndexIntegrityError,
-    IndexNode,
     SubgraphIndex,
     build_index,
     cm_partitioning,
@@ -150,7 +149,6 @@ __all__ = [
     "nd_prune_vertex",
     # index
     "IndexConfig",
-    "IndexNode",
     "SubgraphIndex",
     "IndexFormatError",
     "IndexIntegrityError",

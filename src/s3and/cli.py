@@ -100,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="ks+lb+tight",
         help="which pruning stages to apply",
     )
-    p.add_argument(
-        "--traversal",
-        choices=["heap", "fifo", "lifo"],
-        default="heap",
-        help="accepted for compatibility; no order changes answers or statistics",
-    )
 
     p = sub.add_parser("baseline", help="answer a query without an index")
     _add_query_spec_args(p)
@@ -206,13 +200,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index)
     q = load_query(args.query, g)
     spec = QuerySpec(query=q, aggregate=AggregateKind.parse(args.agg), sigma=args.sigma)
-    result = run_query(
-        index,
-        g,
-        spec,
-        ablation=Ablation.parse(args.ablation),
-        traversal=args.traversal,
-    )
+    result = run_query(index, g, spec, ablation=Ablation.parse(args.ablation))
     sys.stdout.write(format_answers(result.answers))
     _write_stats(args.stats_json, result.stats)
     return 0

@@ -22,8 +22,7 @@ live (node, query vertex) pairs sit in two index arrays and every predicate
 runs over all of them in a few numpy operations, in the frontier-at-a-time
 style of linear-algebra graph traversal. Every live pair is tested exactly
 once, so the candidate sets and ``nodes_visited`` are fixed by the tree and
-the query alone. The ``traversal`` names (``heap``, ``fifo``, ``lifo``) are
-accepted for compatibility and change no work and no statistic.
+the query alone.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .graph import DataGraph, QueryGraph
 from .index import SubgraphIndex
 from .pruning import QuerySideData, build_query_side
@@ -121,9 +119,6 @@ class QueryResult:
     candidates: list[np.ndarray] = field(default_factory=list)
 
 
-TRAVERSALS = ("heap", "fifo", "lifo")
-
-
 def _contained(
     neg: np.ndarray, ids: np.ndarray, q_bits: np.ndarray, qv: np.ndarray
 ) -> np.ndarray:
@@ -165,12 +160,11 @@ def _expand(table: np.ndarray, nodes: np.ndarray, qv: np.ndarray):
 
 
 def _traverse(
-    flat: _kernels.FlatTree,
+    index: SubgraphIndex,
     qside: QuerySideData,
     sigma: int,
     degrees: np.ndarray,
     ablation: Ablation,
-    vertex_count: int,
 ) -> tuple[list[np.ndarray], int]:
     """Level-synchronous traversal over (node, live query vertex) pairs.
 
@@ -186,40 +180,40 @@ def _traverse(
     q_nbr = np.ascontiguousarray(qside.neighbor_table.transpose(1, 2, 0))
     # the degree bound keeps a member when its degree reaches this floor
     q_floor = qside.degrees - sigma
-    seen = np.zeros(flat.kind.size, dtype=bool)
+    seen = np.zeros(index.node_count(), dtype=bool)
     seen[0] = True
     nodes = np.zeros(nq, dtype=np.int64)
     qv = np.arange(nq, dtype=np.int64)
     hit_v: list[np.ndarray] = []
     hit_q: list[np.ndarray] = []
-    for has_leaf, has_inner in flat.levels:
+    for has_leaf, has_inner in index.levels:
         if not nodes.size:
             break
         if has_leaf:
-            v, vq = _expand(flat.member_table, nodes, qv)
-            keep = _contained(flat.bv_neg, v, q_bits, vq)
+            v, vq = _expand(index.member_table, nodes, qv)
+            keep = _contained(index.bv_neg, v, q_bits, vq)
             if ablation.lb_basic:
                 keep &= degrees.take(v) >= q_floor.take(vq)
             v, vq = v[keep], vq[keep]
             if ablation.lb_tight:
-                keep = _within_tight(flat.nbv_neg, v, q_nbr, vq, sigma)
+                keep = _within_tight(index.nbv_neg, v, q_nbr, vq, sigma)
                 v, vq = v[keep], vq[keep]
             hit_v.append(v)
             hit_q.append(vq)
         if not has_inner:
             break
-        c, cq = _expand(flat.child_table, nodes, qv)
-        keep = _contained(flat.agg_bv_neg, c, q_bits, cq)
+        c, cq = _expand(index.child_table, nodes, qv)
+        keep = _contained(index.agg_bv_neg, c, q_bits, cq)
         c, cq = c[keep], cq[keep]
         if ablation.lb_tight:
-            keep = _within_tight(flat.agg_nbv_neg, c, q_nbr, cq, sigma)
+            keep = _within_tight(index.agg_nbv_neg, c, q_nbr, cq, sigma)
             c, cq = c[keep], cq[keep]
         seen[c] = True
         nodes, qv = c, cq
     v = np.concatenate(hit_v) if hit_v else np.empty(0, dtype=np.int64)
     vq = np.concatenate(hit_q) if hit_q else np.empty(0, dtype=np.int64)
     # one sort orders by query vertex, then by vertex id
-    key = np.sort(vq * vertex_count + v) % vertex_count
+    key = np.sort(vq * index.vertex_count + v) % index.vertex_count
     bounds = np.bincount(vq, minlength=nq).cumsum().tolist()
     candidates = [key[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
     return candidates, int(np.count_nonzero(seen))
@@ -231,49 +225,17 @@ def collect_candidates(
     sigma: int,
     degrees: np.ndarray,
     ablation: Ablation = Ablation(),
-    traversal: str = "heap",
-    compiled: bool | None = None,
 ) -> tuple[list[np.ndarray], int]:
     """Traverse the tree, returning candidate vertex ids per query vertex.
 
     ``degrees`` is the data graph's degree vector, needed by the degree
     bound. Returns ``(candidates, nodes_visited)``; candidate arrays are
-    sorted ascending. The traversal is level-synchronous numpy over the
-    flattened tree, built on first use and kept on ``index.fast_tree``.
-
-    ``traversal`` names a visit order (``heap``, ``fifo`` or ``lifo``) and
-    is validated, but no order changes any work or statistic: every live
-    (node, query vertex) pair is tested exactly once whatever the order.
-    ``compiled=True`` demands the optional numba kernel (heap order, at
-    most ``_kernels.MAX_FAST_QUERY`` query vertices), ``compiled=None``
-    uses it when it can, ``compiled=False`` never does; both paths return
-    identical candidates and visit counts. A negative ``sigma`` raises
-    ``ValueError``, as it does in :class:`QuerySpec`.
+    sorted ascending. A negative ``sigma`` raises ``ValueError``, as it
+    does in :class:`QuerySpec`.
     """
-    if traversal not in TRAVERSALS:
-        raise ValueError(
-            f"unknown traversal {traversal!r}, expected one of {TRAVERSALS}"
-        )
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    nq = qside.vertex_count
-    can_compile = (
-        _kernels.AVAILABLE and traversal == "heap" and nq <= _kernels.MAX_FAST_QUERY
-    )
-    if compiled is None:
-        compiled = can_compile
-    if compiled:
-        if not can_compile:
-            raise ValueError(
-                "compiled traversal needs numba, heap order, and a query of "
-                f"at most {_kernels.MAX_FAST_QUERY} vertices"
-            )
-        return _kernels.collect_fast(index, qside, sigma, degrees, ablation)
-    if index.fast_tree is None:
-        index.fast_tree = _kernels.flatten_index(index)
-    return _traverse(
-        index.fast_tree, qside, sigma, degrees, ablation, index.vertex_count
-    )
+    return _traverse(index, qside, sigma, degrees, ablation)
 
 
 def exact_keyword_filter(
@@ -435,17 +397,13 @@ def run_query(
     g: DataGraph,
     spec: QuerySpec,
     ablation: Ablation = Ablation(),
-    traversal: str = "heap",
     plan: Sequence[int] | None = None,
     look_ahead: bool = True,
-    compiled: bool | None = None,
 ) -> QueryResult:
     """Full pipeline: traverse, recheck keywords, plan, refine, measure.
 
-    One-time costs that are not part of answering this query (kernel
-    compilation, the flattened tree) are paid before the clock starts.
-    ``traversal`` and ``compiled`` are passed to :func:`collect_candidates`;
-    neither changes the candidates, the answers or ``nodes_visited``.
+    The index must have been built over ``g``: a graph with another vertex
+    count, keyword table or fingerprint raises ``ValueError``.
     """
     if g.vertex_count != index.vertex_count:
         raise ValueError(
@@ -453,17 +411,13 @@ def run_query(
         )
     if tuple(g.keyword_names) != tuple(index.keyword_names):
         raise ValueError("index was built over a different keyword table")
-    if compiled is not False and _kernels.AVAILABLE and traversal == "heap":
-        _kernels.ensure_ready()
-    if index.fast_tree is None:
-        index.fast_tree = _kernels.flatten_index(index)
+    if g.fingerprint != index.graph_fingerprint:
+        raise ValueError("index was built for a different graph")
     degrees = g.degree_vector
     t0 = time.perf_counter()
     q = spec.query
     qside = build_query_side(q, index.sig_config)
-    raw, visited = collect_candidates(
-        index, qside, spec.sigma, degrees, ablation, traversal, compiled
-    )
+    raw, visited = collect_candidates(index, qside, spec.sigma, degrees, ablation)
     candidates = exact_keyword_filter(g, q, raw)
     sizes = [len(c) for c in candidates]
     total_pairs = g.vertex_count * q.vertex_count

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,6 +52,7 @@ KeywordId = int
 Edge = tuple[int, int]
 
 DUMMY_KEYWORD = "0"
+FINGERPRINT_SIZE = 16
 
 
 class GraphParseError(ValueError):
@@ -112,6 +115,26 @@ class DataGraph:
         return np.fromiter(
             (len(a) for a in self.adjacency), dtype=np.int64, count=len(self.adjacency)
         )
+
+    @functools.cached_property
+    def fingerprint(self) -> bytes:
+        """BLAKE2b digest of the adjacency, the keyword ids and the keyword names.
+
+        An index stores the fingerprint of the graph it was built over, so
+        that a query against any other graph is refused.
+        """
+        digest = hashlib.blake2b(digest_size=FINGERPRINT_SIZE)
+        for ints in (
+            self.degree_vector,
+            itertools.chain.from_iterable(self.adjacency),
+            (len(w) for w in self.keywords),
+            itertools.chain.from_iterable(self.keywords),
+        ):
+            digest.update(np.fromiter(ints, dtype="<i8").tobytes())
+        for name in self.keyword_names:
+            data = name.encode("utf-8")
+            digest.update(len(data).to_bytes(8, "little") + data)
+        return digest.digest()
 
 
 # A query graph is the same structure restricted to be non-empty and

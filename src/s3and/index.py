@@ -1,10 +1,11 @@
 """Balanced signature tree over the data graph.
 
 Vertices are recursively partitioned by similarity of their keyword
-signatures; each tree node stores the OR of its members' signatures, the OR
-of their neighborhood signatures, and the maximum neighbor keyword count.
-Queries can then discard whole subtrees whose aggregates cannot cover a query
-vertex's requirements.
+signatures; each tree node aggregates the OR of its members' signatures and
+the OR of their neighborhood signatures. Queries can then discard whole
+subtrees whose aggregates cannot cover a query vertex's requirements. The
+tree is kept as flat arrays: its shape, from which the aggregates and the
+traversal tables are derived (see :class:`SubgraphIndex`).
 
 Partitioning minimizes ``intra / (inter + 1)``: the sum of members' L1
 distances to their part's centroid over the summed pairwise centroid
@@ -23,22 +24,20 @@ assignment honors the same capacity so every returned strategy is balanced.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .graph import DataGraph
+from .graph import FINGERPRINT_SIZE, DataGraph
 from .signatures import AuxData, SignatureConfig, build_aux, unpack_bits
 
 __all__ = [
     "IndexConfig",
-    "IndexNode",
     "SubgraphIndex",
     "IndexFormatError",
     "IndexIntegrityError",
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 INDEX_MAGIC = b"S3ANDIDX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 class IndexFormatError(ValueError):
@@ -82,69 +81,125 @@ class IndexConfig:
             raise ValueError("iteration counts must be at least 1")
 
 
-class IndexNode:
-    """One tree node; leaves hold member vertex ids, internals hold children."""
-
-    __slots__ = ("members", "children", "agg_bv", "agg_nbv", "nk_max")
-
-    def __init__(
-        self,
-        members: np.ndarray | None,
-        children: list["IndexNode"],
-        agg_bv: np.ndarray,
-        agg_nbv: np.ndarray,
-        nk_max: int,
-    ) -> None:
-        self.members = members
-        self.children = children
-        self.agg_bv = agg_bv
-        self.agg_nbv = agg_nbv
-        self.nk_max = nk_max
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.members is not None
-
-    def member_count(self) -> int:
-        if self.is_leaf:
-            return len(self.members)
-        return sum(c.member_count() for c in self.children)
-
-
-@dataclass
+@dataclass(eq=False)
 class SubgraphIndex:
-    """A built tree plus everything needed to answer queries against it."""
+    """A built tree plus everything needed to answer queries against it.
 
-    root: IndexNode
+    Nodes are numbered breadth-first from the root, node 0, so each node's
+    children and each leaf's members are contiguous. Three arrays are the
+    tree's shape: ``child_counts[u]`` is node ``u``'s number of children (0
+    for a leaf), ``leaf_sizes[k]`` the member count of the ``k``-th leaf in
+    node order, and ``permutation`` lists the vertex ids, the members of
+    each leaf in turn. ``graph_fingerprint`` is the indexed graph's
+    :attr:`DataGraph.fingerprint`.
+
+    The remaining fields are derived from the shape and ``aux`` on
+    construction, and are not saved to the index file:
+
+    - ``child_table`` and ``member_table``: row ``u`` holds node ``u``'s
+      children and members, padded with -1 (a leaf has no children, an
+      internal node no members).
+    - ``agg_bv_neg`` and ``agg_nbv_neg``: bitwise complements of each
+      node's aggregates, the OR of its descendant members' signatures and
+      neighborhood signatures; ``bv_neg`` and ``nbv_neg``: complements of
+      the vertex signatures. All four are word-major, ``(words, nodes)``
+      and ``(words, vertices)``, so that "query bits contained in s" reads
+      ``q & ~s == 0`` and the OR over a signature's words is one reduction
+      along the outer axis.
+    - ``levels[d]``: whether depth ``d`` holds any leaf and any internal
+      node.
+    """
+
     index_config: IndexConfig
     aux: AuxData
     keyword_names: tuple[str, ...]
     vertex_count: int
-    # Flattened-array form of the tree, built lazily for the compiled
-    # traversal; derived state, so excluded from comparisons.
-    fast_tree: object = field(default=None, repr=False, compare=False)
+    graph_fingerprint: bytes
+    child_counts: np.ndarray
+    leaf_sizes: np.ndarray
+    permutation: np.ndarray
+    child_table: np.ndarray = field(init=False, repr=False)
+    member_table: np.ndarray = field(init=False, repr=False)
+    agg_bv_neg: np.ndarray = field(init=False, repr=False)
+    agg_nbv_neg: np.ndarray = field(init=False, repr=False)
+    bv_neg: np.ndarray = field(init=False, repr=False)
+    nbv_neg: np.ndarray = field(init=False, repr=False)
+    levels: tuple[tuple[bool, bool], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cc = self.child_counts
+        starts = _level_starts(cc)
+        leaf = cc == 0
+        sizes = np.zeros(cc.size, dtype=np.int64)
+        sizes[leaf] = self.leaf_sizes
+        first_child = np.cumsum(cc) - cc + 1
+        first_member = np.cumsum(sizes) - sizes
+        self.child_table = _padded(first_child, cc, np.arange(cc.size))
+        self.member_table = _padded(first_member, sizes, self.permutation)
+
+        def aggregate(sig: np.ndarray) -> np.ndarray:
+            """Per node, the OR of ``sig`` over its descendant members."""
+            agg = np.empty((cc.size, sig.shape[1]), dtype=sig.dtype)
+            agg[leaf] = np.bitwise_or.reduceat(
+                sig[self.permutation], first_member[leaf]
+            )
+            # bottom-up: depth d + 1, in [hi, end), holds the children of
+            # the internal nodes of depth d, in [lo, hi), in order
+            for d in range(len(starts) - 3, -1, -1):
+                lo, hi, end = starts[d : d + 3]
+                inner = lo + np.flatnonzero(cc[lo:hi])
+                agg[inner] = np.bitwise_or.reduceat(
+                    agg[hi:end], first_child[inner] - hi
+                )
+            return agg
+
+        bv, nbv = self.aux.flat_bv(), self.aux.flat_nbv()
+        self.agg_bv_neg = np.ascontiguousarray(~aggregate(bv).T)
+        self.agg_nbv_neg = np.ascontiguousarray(~aggregate(nbv).T)
+        self.bv_neg = np.ascontiguousarray(~bv.T)
+        self.nbv_neg = np.ascontiguousarray(~nbv.T)
+        self.levels = tuple(
+            (bool(leaf[lo:hi].any()), bool(cc[lo:hi].any()))
+            for lo, hi in zip(starts, starts[1:])
+        )
 
     @property
     def sig_config(self) -> SignatureConfig:
         return self.aux.cfg
 
-    def iter_nodes(self) -> Iterator[tuple[IndexNode, int]]:
-        """Preorder traversal yielding (node, depth-in-edges)."""
-        stack: list[tuple[IndexNode, int]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
-
     def depth(self) -> int:
-        return max(d for _, d in self.iter_nodes())
+        return len(self.levels) - 1
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return self.child_counts.size
 
     def leaf_count(self) -> int:
-        return sum(1 for n, _ in self.iter_nodes() if n.is_leaf)
+        return self.leaf_sizes.size
+
+
+def _level_starts(child_counts: np.ndarray) -> list[int]:
+    """First node id of each depth, then one past the last node reached.
+
+    Breadth-first numbering puts depth ``d + 1`` right after depth ``d``,
+    with as many nodes as depth ``d`` has children. The counts form one
+    tree exactly when the last entry equals the node count.
+    """
+    starts = [0, 1]
+    while starts[-1] <= child_counts.size:
+        spawned = int(child_counts[starts[-2] : starts[-1]].sum())
+        if not spawned:
+            break
+        starts.append(starts[-1] + spawned)
+    return starts
+
+
+def _padded(first: np.ndarray, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row ``u`` holds ``values[first[u] : first[u] + counts[u]]``, padded with -1."""
+    cols = np.arange(max(int(counts.max()), 1))
+    table = np.full((counts.size, cols.size), -1, dtype=np.int64)
+    fill = cols < counts[:, None]
+    table[fill] = values[(first[:, None] + cols)[fill]]
+    return table
 
 
 def l1_distance(bv: np.ndarray, centroid: np.ndarray, cfg: SignatureConfig) -> float:
@@ -279,16 +334,6 @@ def cm_partitioning(
     return parts
 
 
-def _aggregate(
-    bv_rows: np.ndarray, nbv_rows: np.ndarray, nk_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    return (
-        np.bitwise_or.reduce(bv_rows, axis=0),
-        np.bitwise_or.reduce(nbv_rows, axis=0),
-        int(nk_vals.max()),
-    )
-
-
 def build_index(
     g: DataGraph,
     sig_config: SignatureConfig | None = None,
@@ -307,26 +352,31 @@ def build_index(
     bits = unpack_bits(aux.bv, sig_config).astype(np.float32)
     rng = np.random.default_rng(index_config.seed)
 
-    def build(members: np.ndarray) -> IndexNode:
+    def split(members: np.ndarray) -> np.ndarray | list:
+        """A leaf's members, or the list of an internal node's children."""
         if len(members) <= index_config.fanout:
-            agg_bv, agg_nbv, nk_max = _aggregate(
-                aux.bv[members], aux.nbv[members], aux.nk[members]
-            )
-            return IndexNode(members, [], agg_bv, agg_nbv, nk_max)
+            return members
         parts = cm_partitioning(members, index_config.fanout, index_config, bits, rng)
-        children = [build(part) for part in parts if len(part) > 0]
-        agg_bv = np.bitwise_or.reduce(np.stack([c.agg_bv for c in children]), axis=0)
-        agg_nbv = np.bitwise_or.reduce(np.stack([c.agg_nbv for c in children]), axis=0)
-        nk_max = max(c.nk_max for c in children)
-        return IndexNode(None, children, agg_bv, agg_nbv, nk_max)
+        return [split(part) for part in parts if len(part) > 0]
 
-    root = build(np.arange(g.vertex_count, dtype=np.int64))
+    # The splits run depth-first, which fixes the order of the random draws;
+    # the nodes are then numbered breadth-first.
+    child_counts: list[int] = []
+    leaves: list[np.ndarray] = []
+    level = [split(np.arange(g.vertex_count, dtype=np.int64))]
+    while level:
+        child_counts += [len(n) if isinstance(n, list) else 0 for n in level]
+        leaves += [n for n in level if not isinstance(n, list)]
+        level = [c for n in level if isinstance(n, list) for c in n]
     return SubgraphIndex(
-        root=root,
         index_config=index_config,
         aux=aux,
         keyword_names=tuple(g.keyword_names),
         vertex_count=g.vertex_count,
+        graph_fingerprint=g.fingerprint,
+        child_counts=np.array(child_counts, dtype=np.int64),
+        leaf_sizes=np.array([len(m) for m in leaves], dtype=np.int64),
+        permutation=np.concatenate(leaves),
     )
 
 
@@ -337,7 +387,12 @@ _HEADER = struct.Struct("<IIqIdIIqQQ")
 
 
 def save_index(index: SubgraphIndex, path: str | Path) -> None:
-    """Write the index to a little-endian binary file."""
+    """Write the index to a little-endian binary file.
+
+    The file holds the configs, the keyword table, the graph fingerprint,
+    the per-vertex signatures and the tree shape; what the shape and the
+    signatures determine is derived again on load.
+    """
     with open(path, "wb") as fh:
         _write_index(index, fh)
 
@@ -367,21 +422,14 @@ def _write_index(index: SubgraphIndex, fh: BinaryIO) -> None:
         data = name.encode("utf-8")
         fh.write(struct.pack("<H", len(data)))
         fh.write(data)
+    fh.write(index.graph_fingerprint)
     # aux arrays
     fh.write(index.aux.bv.astype("<u8").tobytes())
     fh.write(index.aux.nbv.astype("<u8").tobytes())
     fh.write(index.aux.nk.astype("<i8").tobytes())
-    # preorder node stream
-    for node, _ in index.iter_nodes():
-        kind = 0 if node.is_leaf else 1
-        fh.write(struct.pack("<Bq", kind, node.nk_max))
-        fh.write(node.agg_bv.astype("<u8").tobytes())
-        fh.write(node.agg_nbv.astype("<u8").tobytes())
-        if node.is_leaf:
-            fh.write(struct.pack("<I", len(node.members)))
-            fh.write(node.members.astype("<u4").tobytes())
-        else:
-            fh.write(struct.pack("<I", len(node.children)))
+    # tree shape
+    for shape in (index.child_counts, index.leaf_sizes, index.permutation):
+        fh.write(shape.astype("<u4").tobytes())
 
 
 def _read_exact(fh: BinaryIO, count: int) -> bytes:
@@ -389,6 +437,26 @@ def _read_exact(fh: BinaryIO, count: int) -> bytes:
     if len(data) != count:
         raise IndexIntegrityError("index file is truncated")
     return data
+
+
+def _read_u4(fh: BinaryIO, count: int) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, count * 4), dtype="<u4").astype(np.int64)
+
+
+def _check_shape(
+    child_counts: np.ndarray,
+    leaf_sizes: np.ndarray,
+    permutation: np.ndarray,
+    vertex_count: int,
+) -> None:
+    if _level_starts(child_counts)[-1] != child_counts.size:
+        raise IndexIntegrityError("child counts do not form one tree")
+    if (leaf_sizes < 1).any() or int(leaf_sizes.sum()) != vertex_count:
+        raise IndexIntegrityError(
+            f"leaf sizes are not all positive with sum {vertex_count}"
+        )
+    if not np.array_equal(np.sort(permutation), np.arange(vertex_count)):
+        raise IndexIntegrityError("leaf members are not a permutation of the vertices")
 
 
 def load_index(
@@ -399,8 +467,11 @@ def load_index(
     """Read an index file; the file's stored configs always win.
 
     If a requested config disagrees with the file, a warning is issued and
-    the file's config is used, since the persisted signatures and aggregates
-    were computed under it.
+    the file's config is used, since the persisted signatures were computed
+    under it. The tree shape is checked before the node aggregates and
+    tables are derived from it: the child counts must form one tree with
+    the header's node count, every leaf must have a member, and the leaves
+    must partition the vertex ids.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(INDEX_MAGIC))
@@ -448,6 +519,7 @@ def load_index(
         for _ in range(name_count):
             (length,) = struct.unpack("<H", _read_exact(fh, 2))
             names.append(_read_exact(fh, length).decode("utf-8"))
+        fingerprint = _read_exact(fh, FINGERPRINT_SIZE)
         m, w = sig_config.group_count, sig_config.words_per_group
         sig_bytes = vertex_count * m * w * 8
         bv = np.frombuffer(_read_exact(fh, sig_bytes), dtype="<u8").reshape(
@@ -463,46 +535,19 @@ def load_index(
             nbv.astype(np.uint64),
             nk.astype(np.int64),
         )
-        root, consumed = _read_node(fh, m, w)
-        if consumed != node_count:
-            raise IndexIntegrityError(
-                f"node stream holds {consumed} nodes, header says {node_count}"
-            )
+        child_counts = _read_u4(fh, node_count)
+        leaf_sizes = _read_u4(fh, int(np.count_nonzero(child_counts == 0)))
+        permutation = _read_u4(fh, vertex_count)
         if fh.read(1):
-            raise IndexIntegrityError("trailing bytes after node stream")
+            raise IndexIntegrityError("trailing bytes after the tree shape")
+    _check_shape(child_counts, leaf_sizes, permutation, vertex_count)
     return SubgraphIndex(
-        root=root,
         index_config=index_config,
         aux=aux,
         keyword_names=tuple(names),
         vertex_count=vertex_count,
+        graph_fingerprint=fingerprint,
+        child_counts=child_counts,
+        leaf_sizes=leaf_sizes,
+        permutation=permutation,
     )
-
-
-def _read_node(fh: BinaryIO, m: int, w: int) -> tuple[IndexNode, int]:
-    kind, nk_max = struct.unpack("<Bq", _read_exact(fh, 9))
-    if kind not in (0, 1):
-        raise IndexIntegrityError(f"unknown node kind {kind}")
-    agg_bv = (
-        np.frombuffer(_read_exact(fh, m * w * 8), dtype="<u8")
-        .reshape(m, w)
-        .astype(np.uint64)
-    )
-    agg_nbv = (
-        np.frombuffer(_read_exact(fh, m * w * 8), dtype="<u8")
-        .reshape(m, w)
-        .astype(np.uint64)
-    )
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
-    if kind == 0:
-        members = np.frombuffer(_read_exact(fh, count * 4), dtype="<u4").astype(
-            np.int64
-        )
-        return IndexNode(members, [], agg_bv, agg_nbv, nk_max), 1
-    children = []
-    consumed = 1
-    for _ in range(count):
-        child, sub = _read_node(fh, m, w)
-        children.append(child)
-        consumed += sub
-    return IndexNode(None, children, agg_bv, agg_nbv, nk_max), consumed

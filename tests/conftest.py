@@ -12,9 +12,8 @@ teams; those corners pin the pruning-bound tests.
 
 from __future__ import annotations
 
-import collections
-import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -157,29 +156,99 @@ def small_signature_config() -> SignatureConfig:
     return SignatureConfig()
 
 
+# --- the tree, read off its shape -------------------------------------------
+#
+# These helpers read a built index's shape arrays (child counts, leaf sizes,
+# permutation) and nothing the index derives from them, so the tests that
+# compare against them check the index's own derivation.
+
+
+def tree_walk(index) -> tuple[list[list[int]], list[list[int]]]:
+    """Per node: its children and its descendant members, from the shape alone.
+
+    Nodes are numbered breadth-first, so node ``u``'s children are the
+    ``child_counts[u]`` nodes that follow the children of nodes ``0..u-1``,
+    and each leaf's members are the next ``leaf_sizes`` entry's worth of the
+    permutation.
+    """
+    permutation = index.permutation.tolist()
+    leaf_sizes = iter(index.leaf_sizes.tolist())
+    children: list[list[int]] = []
+    members: list[list[int]] = []
+    next_child, next_member = 1, 0
+    for count in index.child_counts.tolist():
+        children.append(list(range(next_child, next_child + count)))
+        next_child += count
+        size = 0 if count else next(leaf_sizes)
+        members.append(permutation[next_member : next_member + size])
+        next_member += size
+    # a child's id is above its parent's, so children are complete first
+    for u in reversed(range(len(children))):
+        if children[u]:
+            members[u] = [v for c in children[u] for v in members[c]]
+    return children, members
+
+
+def index_aggregates(index) -> tuple[np.ndarray, np.ndarray]:
+    """The index's own node aggregates, ``(nodes, groups, words)`` each."""
+    cfg = index.sig_config
+    shape = (index.node_count(), cfg.group_count, cfg.words_per_group)
+    return (~index.agg_bv_neg.T).reshape(shape), (~index.agg_nbv_neg.T).reshape(shape)
+
+
+def audit_structure(index, g) -> None:
+    """The shape is a balanced tree over ``g`` and every derived array agrees."""
+    cfg = index.index_config
+    aux = index.aux
+    children, members = tree_walk(index)
+    # leaves partition the vertex set
+    assert sorted(members[0]) == list(range(g.vertex_count))
+    # exact depth bound
+    assert index.depth() <= math.ceil(math.log(g.vertex_count) / math.log(cfg.fanout))
+    agg_bv, agg_nbv = index_aggregates(index)
+    for u, (kids, idx) in enumerate(zip(children, members)):
+        assert np.array_equal(agg_bv[u], np.bitwise_or.reduce(aux.bv[idx], axis=0))
+        assert np.array_equal(agg_nbv[u], np.bitwise_or.reduce(aux.nbv[idx], axis=0))
+        child_row = index.child_table[u]
+        member_row = index.member_table[u]
+        assert child_row[child_row >= 0].tolist() == kids
+        if kids:
+            assert (member_row < 0).all()
+            cap = math.ceil((1 + cfg.gamma) * len(idx) / cfg.fanout)
+            for child in kids:
+                assert len(members[child]) <= cap
+        else:
+            assert member_row[member_row >= 0].tolist() == idx
+            assert len(idx) <= cfg.fanout
+
+
 # --- reference traversal ----------------------------------------------------
 #
 # A per-node walk, one (node, live query vertices) entry at a time, kept as
 # the oracle that the engine's level-synchronous traversal must reproduce:
-# the same candidates and the same number of visited nodes, in every order.
+# the same candidates and the same number of visited nodes. It ORs each
+# node's aggregates from the node's descendant members itself.
 
 
 def _node_live(
-    node, qside: QuerySideData, live: np.ndarray, sigma: int, ablation: Ablation
+    agg_bv: np.ndarray,
+    agg_nbv: np.ndarray,
+    qside: QuerySideData,
+    live: np.ndarray,
+    sigma: int,
+    ablation: Ablation,
 ) -> np.ndarray:
     """Subset of ``live`` query vertices the node's aggregates cannot rule out."""
-    bv_flat = node.agg_bv.reshape(-1)
     qv = qside.flat_bv[live]
-    ok = np.all((bv_flat[None, :] & qv) == qv, axis=1)
+    ok = np.all((agg_bv[None, :] & qv) == qv, axis=1)
     if ablation.lb_tight and ok.any():
-        nbv_flat = node.agg_nbv.reshape(-1)
         for pos, qj in enumerate(live):
             if not ok[pos]:
                 continue
             rows = qside.neighbor_flat(int(qj))
             if rows.shape[0] == 0:
                 continue
-            covered = int(np.all((rows & nbv_flat[None, :]) == rows, axis=1).sum())
+            covered = int(np.all((rows & agg_nbv[None, :]) == rows, axis=1).sum())
             if int(qside.degrees[qj]) - covered > sigma:
                 ok[pos] = False
     return live[ok]
@@ -217,85 +286,58 @@ def _leaf_survivors(
     return keep
 
 
-class _Frontier:
-    """Pending (node, live set) entries in heap, FIFO, or LIFO order.
-
-    The heap is a max-heap on the node's maximum neighbor keyword count with
-    an insertion counter as tie-break, so every order is deterministic.
-    """
-
-    def __init__(self, traversal: str) -> None:
-        if traversal not in ("heap", "fifo", "lifo"):
-            raise ValueError(f"unknown traversal {traversal!r}")
-        self.traversal = traversal
-        self._heap: list[tuple[int, int, object, np.ndarray]] = []
-        self._queue: collections.deque = collections.deque()
-        self._seq = 0
-
-    def push(self, node, live: np.ndarray) -> None:
-        if self.traversal == "heap":
-            self._seq += 1
-            heapq.heappush(self._heap, (-node.nk_max, self._seq, node, live))
-        else:
-            self._queue.append((node, live))
-
-    def pop(self):
-        if self.traversal == "heap":
-            entry = heapq.heappop(self._heap)
-            return entry[2], entry[3]
-        if self.traversal == "fifo":
-            return self._queue.popleft()
-        return self._queue.pop()
-
-    def __bool__(self) -> bool:
-        return bool(self._heap) or bool(self._queue)
-
-
 def reference_candidates(
     index,
     qside: QuerySideData,
     sigma: int,
     degrees: np.ndarray,
     ablation: Ablation = Ablation(),
-    traversal: str = "heap",
 ) -> tuple[list[np.ndarray], int]:
     """Per-node reference traversal: the oracle for ``collect_candidates``.
 
-    Pops one (node, live query vertices) entry at a time from a heap, FIFO
-    or LIFO frontier, tests each child against the live set, and runs the
-    member checks at leaves. It shares no traversal code with the engine,
-    so equal candidates and visit counts check the vectorized traversal.
+    Pops one (node, live query vertices) entry at a time from a stack,
+    tests each child against the live set, and runs the member checks at
+    leaves. It shares no traversal code with the engine, so equal
+    candidates and visit counts check the vectorized traversal.
     """
     nq = qside.vertex_count
     flat_bv = index.aux.flat_bv()
     flat_nbv = index.aux.flat_nbv()
+    children, members = tree_walk(index)
     buckets: list[list[np.ndarray]] = [[] for _ in range(nq)]
-    frontier = _Frontier(traversal)
-    frontier.push(index.root, np.arange(nq, dtype=np.int64))
+    stack = [(0, np.arange(nq, dtype=np.int64))]
     visited = 0
-    while frontier:
-        node, live = frontier.pop()
+    while stack:
+        node, live = stack.pop()
         visited += 1
-        if node.is_leaf:
-            members = node.members
+        if not children[node]:
+            idx = np.array(members[node], dtype=np.int64)
             keep = _leaf_survivors(
-                flat_bv[members],
-                flat_nbv[members],
-                degrees[members],
+                flat_bv[idx],
+                flat_nbv[idx],
+                degrees[idx],
                 qside,
                 live,
                 sigma,
                 ablation,
             )
             for pos, qj in enumerate(live):
-                hits = members[keep[:, pos]]
+                hits = idx[keep[:, pos]]
                 if hits.size:
                     buckets[int(qj)].append(hits)
         else:
-            for child in node.children:
-                child_live = _node_live(child, qside, live, sigma, ablation)
+            for child in children[node]:
+                idx = members[child]
+                child_live = _node_live(
+                    np.bitwise_or.reduce(flat_bv[idx], axis=0),
+                    np.bitwise_or.reduce(flat_nbv[idx], axis=0),
+                    qside,
+                    live,
+                    sigma,
+                    ablation,
+                )
                 if child_live.size:
-                    frontier.push(child, child_live)
+                    stack.append((child, child_live))
     candidates = [
         np.sort(np.concatenate(b)) if b else np.empty(0, dtype=np.int64)
         for b in buckets

@@ -34,6 +34,7 @@ from s3and import (
     build_aux,
     build_index,
     build_query_side,
+    collect_candidates,
     exact_keyword_filter,
     generate_graph,
     generate_workload,
@@ -49,12 +50,21 @@ from s3and import (
     neighbor_difference,
     nd_prune_vertex,
     oracle_search,
+    refine,
     run_baseline,
     run_query,
     save_graph,
     save_index,
 )
-from tests.conftest import TEAM_MAPPING, TEAM_NDS, mapping_set, reference_candidates
+from tests.conftest import (
+    TEAM_MAPPING,
+    TEAM_NDS,
+    audit_structure,
+    index_aggregates,
+    mapping_set,
+    reference_candidates,
+    tree_walk,
+)
 from tests.test_index import structurally_equal
 
 MAX = AggregateKind.MAX
@@ -211,12 +221,6 @@ def _max_matching(left_adj: list[list[int]], right_size: int) -> int:
     return total
 
 
-def _leaf_members(node) -> list[int]:
-    if node.is_leaf:
-        return [int(v) for v in node.members]
-    return [v for c in node.children for v in _leaf_members(c)]
-
-
 def test_criterion_03_bound_soundness(pool, pool_indexes):
     checked_pairs = 0
     checked_mappings = 0
@@ -252,10 +256,11 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                     assert lb_nd_basic(len(q.adjacency[qj]), len(g.adjacency[vi])) <= nd
                     assert lb_nd_tight(side, qj, aux[vi].nbv) <= nd
         # node bound never exceeds any member's tight bound
-        for node, _depth in pool_indexes[i].iter_nodes():
-            members = _leaf_members(node)
+        _, node_members = tree_walk(pool_indexes[i])
+        _, agg_nbv = index_aggregates(pool_indexes[i])
+        for node, members in enumerate(node_members):
             for qj in range(q.vertex_count):
-                node_lb = lb_nd_node(side, qj, node.agg_nbv)
+                node_lb = lb_nd_node(side, qj, agg_nbv[node])
                 assert node_lb <= min(
                     lb_nd_tight(side, qj, aux[vi].nbv) for vi in members
                 )
@@ -273,9 +278,8 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
         aux = build_aux(g, SIG)
         side = build_query_side(q, SIG)
         index = pool_indexes[i]
-        node_members = [
-            (node, set(_leaf_members(node))) for node, _ in index.iter_nodes()
-        ]
+        node_members = [set(members) for members in tree_walk(index)[1]]
+        agg_bv, agg_nbv = index_aggregates(index)
         for aggregate in (MAX, SUM):
             for ans in pool_answers[i, aggregate]:
                 for qj, vi in enumerate(ans.mapping):
@@ -285,19 +289,20 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
                     tight_lb = lb_nd_tight(side, qj, aux[vi].nbv)
                     if nd_prune_vertex(deg_lb, sigma) or nd_prune_vertex(tight_lb, sigma):
                         fired += 1
-                    for node, members in node_members:
+                    for node, members in enumerate(node_members):
                         if vi not in members:
                             continue
-                        if keyword_prune_node(node.agg_bv, side.bv[qj]):
+                        if keyword_prune_node(agg_bv[node], side.bv[qj]):
                             fired += 1
-                        if lb_nd_node(side, qj, node.agg_nbv) > sigma:
+                        if lb_nd_node(side, qj, agg_nbv[node]) > sigma:
                             fired += 1
     assert fired == 0
     print("\nACCEPTANCE 4 pruning soundness (zero false prunes): PASS")
 
 
-def test_criterion_05_index_structural_audit():
+def test_criterion_05_index_structural_audit(tmp_path):
     rng = np.random.default_rng(7)
+    path = tmp_path / "audit.idx"
     for build in range(50):
         n = int(rng.choice([4, 8, 16]))
         gamma = float(rng.choice([0.0, 0.1, 0.2]))
@@ -311,25 +316,12 @@ def test_criterion_05_index_structural_audit():
         g = generate_graph(spec)
         cfg = IndexConfig(fanout=n, gamma=gamma, seed=int(rng.integers(0, 2**31)))
         index = build_index(g, index_config=cfg)
-        aux = index.aux
-        assert sorted(_leaf_members(index.root)) == list(range(g.vertex_count))
-        assert index.depth() <= math.ceil(math.log(g.vertex_count) / math.log(n))
-        for node, _depth in index.iter_nodes():
-            members = np.array(_leaf_members(node), dtype=np.int64)
-            assert np.array_equal(
-                node.agg_bv, np.bitwise_or.reduce(aux.bv[members], axis=0)
-            )
-            assert np.array_equal(
-                node.agg_nbv, np.bitwise_or.reduce(aux.nbv[members], axis=0)
-            )
-            assert node.nk_max == int(aux.nk[members].max())
-            if node.is_leaf:
-                assert len(members) <= n
-            else:
-                cap = math.ceil((1 + gamma) * len(members) / n)
-                for child in node.children:
-                    assert child.member_count() <= cap
-    print("\nACCEPTANCE 5 index structural audit (50 builds): PASS")
+        save_index(index, path)
+        # the loaded index derives its aggregates and tables anew from the
+        # stored shape, so it gets the same audit
+        for audited in (index, load_index(path)):
+            audit_structure(audited, g)
+    print("\nACCEPTANCE 5 index structural audit (50 builds, built and loaded): PASS")
 
 
 def test_criterion_06_pruning_power_target(ablation_powers):
@@ -434,26 +426,30 @@ def test_criterion_10_traversal_and_plan_invariance(pool, pool_indexes):
         g, q, sigma = inst.g, inst.q, inst.sigma
         index = pool_indexes[i]
         spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
-        heap = run_query(index, g, spec, traversal="heap")
+        # the vectorized traversal must give what the per-node reference walk gives
+        res = run_query(index, g, spec)
         qside = build_query_side(q, index.sig_config)
-        for order in ("heap", "fifo", "lifo"):
-            # every order must give what the per-node reference walk gives
-            res = run_query(index, g, spec, traversal=order)
-            raw, visited = reference_candidates(
-                index, qside, sigma, g.degree_vector, traversal=order
-            )
-            assert res.stats.nodes_visited == visited
-            expect = exact_keyword_filter(g, q, raw)
-            assert all(np.array_equal(a, b) for a, b in zip(res.candidates, expect))
-            assert mapping_set(res.answers) == mapping_set(heap.answers)
+        raw, _ = collect_candidates(index, qside, sigma, g.degree_vector)
+        ref_raw, visited = reference_candidates(index, qside, sigma, g.degree_vector)
+        assert res.stats.nodes_visited == visited
+        assert all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(raw, ref_raw)
+        )
+        expect = exact_keyword_filter(g, q, ref_raw)
+        assert all(np.array_equal(a, b) for a, b in zip(res.candidates, expect))
+        if all(len(c) for c in expect):
+            ref_answers = refine(g, q, make_query_plan(q, expect), expect, MAX, sigma)
+        else:
+            ref_answers = []
+        assert mapping_set(res.answers) == mapping_set(ref_answers)
 
-        plan_a = make_query_plan(q, heap.candidates, prefer_small=True)
-        plan_b = make_query_plan(q, heap.candidates, prefer_small=False)
+        plan_a = make_query_plan(q, res.candidates, prefer_small=True)
+        plan_b = make_query_plan(q, res.candidates, prefer_small=False)
         if plan_b == plan_a:
             plan_b = _alternative_plan(q, plan_a)
         assert plan_b != plan_a
         res_a = run_query(index, g, spec, plan=plan_a)
         res_b = run_query(index, g, spec, plan=plan_b)
         assert mapping_set(res_a.answers) == mapping_set(res_b.answers)
-        assert mapping_set(res_a.answers) == mapping_set(heap.answers)
+        assert mapping_set(res_a.answers) == mapping_set(res.answers)
     print("\nACCEPTANCE 10 traversal and plan invariance (50 instances): PASS")

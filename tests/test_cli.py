@@ -83,8 +83,7 @@ def test_query_stats_json_and_flags(team_files, tmp_path, capsys):
     }
     assert stats["answers"] == len(default_out.splitlines())
 
-    for extra in (["--ablation", "ks"], ["--traversal", "fifo"]):
-        assert run(capsys, *base_args, *extra) == default_out
+    assert run(capsys, *base_args, "--ablation", "ks") == default_out
 
 
 def test_index_flags_are_persisted(team_files, tmp_path, capsys):

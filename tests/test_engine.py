@@ -25,7 +25,7 @@ from s3and import (
     refine,
     run_query,
 )
-from s3and import _kernels
+from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     mapping_set,
     random_index_config,
@@ -75,13 +75,11 @@ def test_candidates_cover_every_oracle_answer():
 
 def test_absent_keyword_stops_at_root(small_index, team_graph):
     q = parse_query("t 2 1\nv 0 quantum\nv 1 quantum\ne 0 1\n", team_graph)
-    spec = QuerySpec(query=q, aggregate=MAX, sigma=2)
-    for compiled in (False, None):
-        res = run_query(small_index, team_graph, spec, compiled=compiled)
-        assert res.stats.nodes_visited == 1
-        assert res.stats.pruning_power == 1.0
-        assert [len(c) for c in res.candidates] == [0, 0]
-        assert res.answers == []
+    res = run_query(small_index, team_graph, QuerySpec(query=q, aggregate=MAX, sigma=2))
+    assert res.stats.nodes_visited == 1
+    assert res.stats.pruning_power == 1.0
+    assert [len(c) for c in res.candidates] == [0, 0]
+    assert res.answers == []
 
 
 def test_one_empty_candidate_set_short_circuits(small_index, team_graph):
@@ -98,7 +96,7 @@ def test_exact_filter_drops_signature_survivors(team_graph, team_query):
     # so the exact recheck has to do all the work
     weak = SignatureConfig(group_count=1, bits_per_group=1)
     index = build_index(team_graph, sig_config=weak)
-    raw, _ = collect(index, team_graph, team_query, sigma=2, compiled=False)
+    raw, _ = collect(index, team_graph, team_query, sigma=2)
     assert all(len(c) == 12 for c in raw)
     cands = exact_keyword_filter(team_graph, team_query, raw)
     assert sorted(map(int, cands[0])) == [0, 5]  # ml
@@ -107,37 +105,9 @@ def test_exact_filter_drops_signature_survivors(team_graph, team_query):
     assert (0, 1, 2, 3, 4) in {a.mapping for a in res.answers}
 
 
-def test_collect_rejects_unknown_traversal(small_index, team_graph, team_query):
-    with pytest.raises(ValueError):
-        collect(small_index, team_graph, team_query, sigma=2, traversal="random")
-
-
 def test_collect_rejects_negative_sigma(small_index, team_graph, team_query):
     with pytest.raises(ValueError, match="sigma"):
         collect(small_index, team_graph, team_query, sigma=-1)
-
-
-def test_compiled_demand_fails_without_heap(small_index, team_graph, team_query):
-    with pytest.raises(ValueError):
-        collect(
-            small_index, team_graph, team_query, sigma=2, traversal="fifo", compiled=True
-        )
-
-
-@pytest.mark.skipif(not _kernels.AVAILABLE, reason="compiled kernel unavailable")
-def test_compiled_matches_python_path():
-    rng = np.random.default_rng(33)
-    for _ in range(8):
-        g, q = random_instance(rng, max_vertices=50)
-        index = build_index(g, index_config=IndexConfig(fanout=4))
-        sigma = int(rng.integers(0, 4))
-        for level in Ablation.LEVELS:
-            ab = Ablation.parse(level)
-            fast, fast_visits = collect(index, g, q, sigma, ablation=ab, compiled=True)
-            slow, slow_visits = collect(index, g, q, sigma, ablation=ab, compiled=False)
-            assert fast_visits == slow_visits
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a, b)
 
 
 # --- planning -------------------------------------------------------------
@@ -324,6 +294,16 @@ def test_run_query_rejects_foreign_graph(small_index):
         run_query(small_index, other, QuerySpec(query=q, aggregate=MAX, sigma=1))
 
 
+def test_run_query_rejects_index_of_another_graph():
+    # same vertex count and keyword table, different edges and keywords
+    spec = SyntheticSpec(vertex_count=2000, keyword_domain_size=20, seed=0)
+    index = build_index(generate_graph(spec))
+    other = generate_graph(SyntheticSpec(vertex_count=2000, keyword_domain_size=20, seed=1))
+    q = generate_workload(other, WorkloadSpec(query_count=1, seed=0))[0]
+    with pytest.raises(ValueError, match="different graph"):
+        run_query(index, other, QuerySpec(query=q, aggregate=MAX, sigma=1))
+
+
 def test_run_query_rejects_foreign_keyword_table(small_index, team_graph, team_query):
     renamed = make_graph(
         12,
@@ -341,11 +321,11 @@ def test_run_query_rejects_bad_plan(small_index, team_graph, team_query):
         run_query(small_index, team_graph, spec, plan=[0, 1, 2, 3, 3])
 
 
-def test_traversal_order_never_changes_answers(team_graph, team_query, team_index):
-    # run_query against the per-node reference walk in every visit order, at
-    # every ablation level and sigma 0-3. The team index is a single leaf;
-    # among the random trees, the 89-vertex one (fanout 8) has a depth that
-    # holds both leaves and internal nodes.
+def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
+    # run_query and collect_candidates against the per-node reference walk,
+    # at every ablation level and sigma 0-3. The team index is a single
+    # leaf; among the random trees, the 89-vertex one (fanout 8) has a depth
+    # that holds both leaves and internal nodes.
     rng = np.random.default_rng(66)
     cases = [(team_graph, team_query, team_index)]
     for _ in range(8):
@@ -357,25 +337,24 @@ def test_traversal_order_never_changes_answers(team_graph, team_query, team_inde
             ab = Ablation.parse(level)
             for sigma in range(4):
                 spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
-                raw, _ = collect(index, g, q, sigma, ablation=ab, compiled=False)
-                for t in ("heap", "fifo", "lifo"):
-                    res = run_query(index, g, spec, ablation=ab, traversal=t, compiled=False)
-                    ref_raw, visited = reference_candidates(
-                        index, qside, sigma, g.degree_vector, ab, traversal=t
-                    )
-                    assert res.stats.nodes_visited == visited
-                    assert len(raw) == len(ref_raw)
-                    for a, b in zip(raw, ref_raw):
-                        assert a.dtype == b.dtype and np.array_equal(a, b)
-                    expect = exact_keyword_filter(g, q, ref_raw)
-                    for a, b in zip(res.candidates, expect):
-                        assert np.array_equal(a, b)
-                    if all(len(c) for c in expect):
-                        plan = make_query_plan(q, expect)
-                        answers = refine(g, q, plan, expect, MAX, sigma)
-                    else:
-                        answers = []
-                    assert mapping_set(res.answers) == mapping_set(answers)
+                raw, _ = collect(index, g, q, sigma, ablation=ab)
+                res = run_query(index, g, spec, ablation=ab)
+                ref_raw, visited = reference_candidates(
+                    index, qside, sigma, g.degree_vector, ab
+                )
+                assert res.stats.nodes_visited == visited
+                assert len(raw) == len(ref_raw)
+                for a, b in zip(raw, ref_raw):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                expect = exact_keyword_filter(g, q, ref_raw)
+                for a, b in zip(res.candidates, expect):
+                    assert np.array_equal(a, b)
+                if all(len(c) for c in expect):
+                    plan = make_query_plan(q, expect)
+                    answers = refine(g, q, plan, expect, MAX, sigma)
+                else:
+                    answers = []
+                assert mapping_set(res.answers) == mapping_set(answers)
 
 
 def test_plan_choice_never_changes_answers(team_graph, team_query, small_index):

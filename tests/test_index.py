@@ -25,17 +25,33 @@ from s3and.index import (
 )
 from s3and.signatures import unpack_bits
 from s3and.workbench import SyntheticSpec, generate_graph
+from tests.conftest import audit_structure
 
 CFG = SignatureConfig()
 
 
+_SHAPE_AND_DERIVED = (
+    "child_counts",
+    "leaf_sizes",
+    "permutation",
+    "child_table",
+    "member_table",
+    "agg_bv_neg",
+    "agg_nbv_neg",
+    "bv_neg",
+    "nbv_neg",
+)
+
+
 def structurally_equal(a, b) -> bool:
-    """Compare two indexes node by node in preorder."""
+    """Compare two indexes array by array: shape, derived tables and aux."""
     if (
         a.index_config != b.index_config
         or a.sig_config != b.sig_config
         or a.keyword_names != b.keyword_names
         or a.vertex_count != b.vertex_count
+        or a.graph_fingerprint != b.graph_fingerprint
+        or a.levels != b.levels
     ):
         return False
     if not (
@@ -44,20 +60,11 @@ def structurally_equal(a, b) -> bool:
         and np.array_equal(a.aux.nk, b.aux.nk)
     ):
         return False
-    nodes_a = list(a.iter_nodes())
-    nodes_b = list(b.iter_nodes())
-    if len(nodes_a) != len(nodes_b):
-        return False
-    for (na, da), (nb, db) in zip(nodes_a, nodes_b):
-        if da != db or na.is_leaf != nb.is_leaf or na.nk_max != nb.nk_max:
-            return False
-        if not (np.array_equal(na.agg_bv, nb.agg_bv) and np.array_equal(na.agg_nbv, nb.agg_nbv)):
-            return False
-        if na.is_leaf and not np.array_equal(na.members, nb.members):
-            return False
-        if not na.is_leaf and len(na.children) != len(nb.children):
-            return False
-    return True
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and np.array_equal(getattr(a, name), getattr(b, name))
+        for name in _SHAPE_AND_DERIVED
+    )
 
 
 # --- distance and cost ----------------------------------------------------
@@ -216,17 +223,17 @@ def test_cm_refinement_never_worse_than_initial():
 
 def test_build_fixture_root_splits_into_fanout_parts(team_graph):
     index = build_index(team_graph, index_config=IndexConfig(fanout=4))
-    assert not index.root.is_leaf
-    assert len(index.root.children) == 4
-    assert all(c.is_leaf for c in index.root.children)
-    members = sorted(int(v) for c in index.root.children for v in c.members)
-    assert members == list(range(12))
+    # the root, then its four children, all leaves
+    assert index.child_counts.tolist() == [4, 0, 0, 0, 0]
+    assert index.leaf_sizes.size == 4
+    assert sorted(index.permutation.tolist()) == list(range(12))
 
 
 def test_build_small_graph_is_single_leaf(team_graph):
     index = build_index(team_graph, index_config=IndexConfig(fanout=16))
-    assert index.root.is_leaf
-    assert sorted(map(int, index.root.members)) == list(range(12))
+    assert index.child_counts.tolist() == [0]
+    assert index.leaf_sizes.tolist() == [12]
+    assert sorted(index.permutation.tolist()) == list(range(12))
     assert index.depth() == 0
     assert index.node_count() == 1
 
@@ -235,33 +242,6 @@ def test_build_rejects_mismatched_aux(team_graph):
     aux = build_aux(team_graph, SignatureConfig(group_count=3))
     with pytest.raises(ValueError):
         build_index(team_graph, sig_config=SignatureConfig(group_count=5), aux=aux)
-
-
-def _leaf_members(node):
-    if node.is_leaf:
-        return [int(v) for v in node.members]
-    return [v for c in node.children for v in _leaf_members(c)]
-
-
-def audit_structure(index, g) -> None:
-    cfg = index.index_config
-    aux = index.aux
-    # leaves partition the vertex set
-    assert sorted(_leaf_members(index.root)) == list(range(g.vertex_count))
-    # exact depth bound
-    assert index.depth() <= math.ceil(math.log(g.vertex_count) / math.log(cfg.fanout))
-    for node, _depth in index.iter_nodes():
-        members = _leaf_members(node)
-        idx = np.array(members, dtype=np.int64)
-        assert np.array_equal(node.agg_bv, np.bitwise_or.reduce(aux.bv[idx], axis=0))
-        assert np.array_equal(node.agg_nbv, np.bitwise_or.reduce(aux.nbv[idx], axis=0))
-        assert node.nk_max == int(aux.nk[idx].max())
-        if node.is_leaf:
-            assert len(members) <= cfg.fanout
-        else:
-            cap = math.ceil((1 + cfg.gamma) * len(members) / cfg.fanout)
-            for child in node.children:
-                assert child.member_count() <= cap
 
 
 def test_build_thousand_vertex_audit():
@@ -314,11 +294,59 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_unsupported_version(saved_index, tmp_path):
     _, path = saved_index
     data = bytearray(path.read_bytes())
-    data[8] = 99  # version byte follows the magic
-    bad = tmp_path / "vers.idx"
-    bad.write_bytes(bytes(data))
-    with pytest.raises(IndexFormatError):
+    for version in (99, 1):
+        data[8] = version  # version byte follows the magic
+        bad = tmp_path / f"vers{version}.idx"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError):
+            load_index(bad)
+
+
+def _damaged_copy(path, index, damage, out):
+    """Copy the index file to ``out`` with ``damage`` applied to its tree shape."""
+    data = path.read_bytes()
+    sizes = [index.node_count(), index.leaf_count(), index.vertex_count]
+    cut = len(data) - 4 * sum(sizes)
+    shape = np.frombuffer(data[cut:], dtype="<u4").copy()
+    child_counts, leaf_sizes, permutation = np.split(shape, np.cumsum(sizes)[:2])
+    damage(child_counts, leaf_sizes, permutation)
+    out.write_bytes(data[:cut] + shape.tobytes())
+    return out
+
+
+def test_load_rejects_repeated_vertex(saved_index, tmp_path):
+    index, path = saved_index
+
+    def repeat_vertex(child_counts, leaf_sizes, permutation):
+        permutation[-1] = permutation[0]
+
+    bad = _damaged_copy(path, index, repeat_vertex, tmp_path / "repeat.idx")
+    with pytest.raises(IndexIntegrityError, match="permutation"):
         load_index(bad)
+
+
+def test_load_rejects_malformed_tree_shape(saved_index, tmp_path):
+    index, path = saved_index
+    assert index.child_counts.tolist() == [4, 0, 0, 0, 0]
+
+    def root_is_a_leaf(child_counts, leaf_sizes, permutation):
+        child_counts[:2] = [0, 4]  # same leaf count and child total
+
+    def empty_leaf(child_counts, leaf_sizes, permutation):
+        leaf_sizes[0] += leaf_sizes[1]  # sizes still sum to the vertex count
+        leaf_sizes[1] = 0
+
+    def sizes_short(child_counts, leaf_sizes, permutation):
+        leaf_sizes[0] -= 1
+
+    for damage, message in (
+        (root_is_a_leaf, "one tree"),
+        (empty_leaf, "leaf sizes"),
+        (sizes_short, "leaf sizes"),
+    ):
+        bad = _damaged_copy(path, index, damage, tmp_path / f"{damage.__name__}.idx")
+        with pytest.raises(IndexIntegrityError, match=message):
+            load_index(bad)
 
 
 def test_load_warns_on_config_mismatch_and_keeps_file(saved_index):

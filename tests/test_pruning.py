@@ -31,6 +31,7 @@ from s3and import (
     vertex_bit_vector,
 )
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
+from tests.conftest import index_aggregates, tree_walk
 
 CFG = SignatureConfig()
 
@@ -207,13 +208,10 @@ def test_index_node_bounds_hold_on_random_build():
     q = generate_workload(g, WorkloadSpec(query_count=1, query_size=4, seed=11))[0]
     side = build_query_side(q, CFG)
     aux = build_aux(g, CFG)
-    def descendants(node):
-        if node.is_leaf:
-            return [int(v) for v in node.members]
-        return [v for c in node.children for v in descendants(c)]
-
-    for node, _depth in index.iter_nodes():
+    _, members = tree_walk(index)
+    _, agg_nbv = index_aggregates(index)
+    for node, descendants in enumerate(members):
         for qj in range(q.vertex_count):
-            node_lb = lb_nd_node(side, qj, node.agg_nbv)
-            member_min = min(lb_nd_tight(side, qj, aux[vi].nbv) for vi in descendants(node))
+            node_lb = lb_nd_node(side, qj, agg_nbv[node])
+            member_min = min(lb_nd_tight(side, qj, aux[vi].nbv) for vi in descendants)
             assert node_lb <= member_min
