@@ -287,7 +287,6 @@ def refine(
     candidates: Sequence[Sequence[int]],
     aggregate: AggregateKind,
     sigma: int,
-    look_ahead: bool = True,
 ) -> list[MatchAnswer]:
     """Backtrack over the plan and keep every mapping passing the full predicate.
 
@@ -340,10 +339,6 @@ def refine(
     nd = [0] * nq  # neighbor-difference counts among the mapped pairs
     answers: list[MatchAnswer] = []
 
-    def connectable(v: int, dep: int) -> bool:
-        adj = adjacency[v]
-        return not adj.isdisjoint(used) or not adj.isdisjoint(later_of[dep])
-
     def dfs(dep: int, total: int) -> None:
         if dep == nq:
             full = tuple(mapping)
@@ -374,7 +369,7 @@ def refine(
             # a bump to a neighbor at sigma is ruled out by the pool
             if len(bumps) > budget:
                 continue
-            if look_ahead and nq > 1 and not connectable(v, dep):
+            if nq > 1 and adj.isdisjoint(used) and adj.isdisjoint(later_of[dep]):
                 continue
             mapping[qj] = v
             used.add(v)
@@ -398,7 +393,6 @@ def run_query(
     spec: QuerySpec,
     ablation: Ablation = Ablation(),
     plan: Sequence[int] | None = None,
-    look_ahead: bool = True,
 ) -> QueryResult:
     """Full pipeline: traverse, recheck keywords, plan, refine, measure.
 
@@ -429,9 +423,7 @@ def run_query(
         if sorted(plan) != list(range(q.vertex_count)):
             raise ValueError("plan must order every query vertex exactly once")
     if all(sizes):
-        answers = refine(
-            g, q, plan, candidates, spec.aggregate, spec.sigma, look_ahead
-        )
+        answers = refine(g, q, plan, candidates, spec.aggregate, spec.sigma)
     else:
         answers = []
     wall_ms = (time.perf_counter() - t0) * 1000.0

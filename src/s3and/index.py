@@ -13,6 +13,13 @@ distances. Distances treat signatures as flat 0/1 vectors (one slot per group
 bit position), so the L1 distance between two vertices is their Hamming
 distance and a centroid holds per-position fractional means.
 
+Both sums follow from a part's member count ``k`` and its column sums ``S``
+(per position, how many members have the bit set). The centroid is
+``S / k``, and a position's ``S`` ones and ``k - S`` zeros lie at total
+distance ``S (1 - S/k) + (k - S) S/k = 2S - 2S²/k`` from it. So a split is
+kept as one assignment vector, and each round gets every part's ``k`` and
+``S`` from one one-hot matmul; the centroids and the cost both read them.
+
 The optimizer restarts ``global_iter`` times from random member centers; each
 restart runs up to ``local_iter`` rounds of (recompute centroids, reassign
 members). Reassignment is capacity-bounded: members are visited in order and
@@ -24,12 +31,13 @@ assignment honors the same capacity so every returned strategy is balanced.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +49,6 @@ __all__ = [
     "SubgraphIndex",
     "IndexFormatError",
     "IndexIntegrityError",
-    "l1_distance",
-    "centroid_of",
     "partition_cost",
     "cm_partitioning",
     "build_index",
@@ -51,7 +57,7 @@ __all__ = [
 ]
 
 INDEX_MAGIC = b"S3ANDIDX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
 class IndexFormatError(ValueError):
@@ -202,17 +208,32 @@ def _padded(first: np.ndarray, counts: np.ndarray, values: np.ndarray) -> np.nda
     return table
 
 
-def l1_distance(bv: np.ndarray, centroid: np.ndarray, cfg: SignatureConfig) -> float:
-    """L1 distance between one packed signature and a flat fractional centroid."""
-    bits = unpack_bits(bv, cfg).astype(np.float64).reshape(-1)
-    return float(np.abs(bits - np.asarray(centroid, dtype=np.float64).reshape(-1)).sum())
+def _column_sums(
+    rows: np.ndarray, assign: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-part member counts ``k`` and column sums ``S`` of a split's rows.
+
+    ``S`` is one one-hot matmul, in float32 for float32 rows. Its entries
+    are whole numbers, exact for 0/1 rows while a part has fewer than 2**24
+    members.
+    """
+    onehot = (assign == np.arange(n)[:, None]).astype(np.float32)
+    return np.bincount(assign, minlength=n), onehot @ rows
 
 
-def centroid_of(part: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Per-position mean of a part's unpacked signature rows."""
-    if len(part) == 0:
-        raise ValueError("empty part has no centroid")
-    return bits[np.asarray(part, dtype=np.int64)].mean(axis=0, dtype=np.float64)
+def _cost(counts: np.ndarray, sums: np.ndarray) -> float:
+    """``intra / (inter + 1)`` of a split given as its counts and column sums.
+
+    Empty parts contribute nothing to either sum.
+    """
+    filled = counts > 0
+    k = counts[filled, None]
+    s = sums[filled].astype(np.float64)
+    centroids = s / k
+    intra = float((2.0 * s - 2.0 * s * s / k).sum())
+    # each unordered pair of centroids once
+    inter = float(np.abs(centroids[:, None] - centroids[None]).sum()) / 2.0
+    return intra / (inter + 1.0)
 
 
 def partition_cost(parts: Sequence[np.ndarray], bits: np.ndarray) -> float:
@@ -221,21 +242,9 @@ def partition_cost(parts: Sequence[np.ndarray], bits: np.ndarray) -> float:
     ``bits`` is the unpacked 0/1 signature matrix indexed by vertex id. Empty
     parts contribute nothing to either sum.
     """
-    centroids = []
-    intra = 0.0
-    for part in parts:
-        idx = np.asarray(part, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        rows = bits[idx].astype(np.float64, copy=False)
-        c = rows.mean(axis=0)
-        centroids.append(c)
-        intra += float(np.abs(rows - c).sum())
-    inter = 0.0
-    for a in range(len(centroids)):
-        for b in range(a + 1, len(centroids)):
-            inter += float(np.abs(centroids[a] - centroids[b]).sum())
-    return intra / (inter + 1.0)
+    idx = [np.asarray(part, dtype=np.int64) for part in parts]
+    sums = np.array([bits[i].sum(axis=0, dtype=np.float64) for i in idx])
+    return _cost(np.array([i.size for i in idx]), sums.reshape(len(idx), bits.shape[1]))
 
 
 def _distance_matrix(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -263,10 +272,6 @@ def _assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def _parts_from_assignment(members: np.ndarray, assign: np.ndarray, n: int) -> list[np.ndarray]:
-    return [members[assign == p] for p in range(n)]
-
-
 def _cm_partitioning_detail(
     members: np.ndarray,
     n: int,
@@ -289,32 +294,23 @@ def _cm_partitioning_detail(
         centers = rng.choice(len(members), size=n, replace=False)
         centroids = rows[centers].astype(np.float32, copy=True)
         assign = _assign_capacitated(_distance_matrix(rows, centroids), cap)
-        cost = partition_cost(_parts_from_assignment(members, assign, n), bits)
-        init_cost = cost
+        counts, sums = _column_sums(rows, assign, n)
+        cost = init_cost = _cost(counts, sums)
         for _ in range(cfg.local_iter):
-            centroids = _update_centroids(rows, assign, centroids, n)
+            # each part's mean row; an empty part keeps its previous centroid
+            filled = counts > 0
+            centroids[filled] = sums[filled].astype(np.float64) / counts[filled, None]
             new_assign = _assign_capacitated(_distance_matrix(rows, centroids), cap)
-            new_cost = partition_cost(_parts_from_assignment(members, new_assign, n), bits)
+            new_counts, new_sums = _column_sums(rows, new_assign, n)
+            new_cost = _cost(new_counts, new_sums)
             if new_cost < cost:
-                assign, cost = new_assign, new_cost
+                assign, counts, sums, cost = new_assign, new_counts, new_sums, new_cost
             else:
                 break
         if cost < best_cost:
             best_assign, best_cost, best_init_cost = assign, cost, init_cost
-    return _parts_from_assignment(members, best_assign, n), best_cost, best_init_cost
-
-
-def _update_centroids(
-    rows: np.ndarray, assign: np.ndarray, previous: np.ndarray, n: int
-) -> np.ndarray:
-    """Mean of each part's rows; an empty part keeps its previous centroid."""
-    sums = np.zeros((n, rows.shape[1]), dtype=np.float64)
-    np.add.at(sums, assign, rows.astype(np.float64, copy=False))
-    counts = np.bincount(assign, minlength=n).astype(np.float64)
-    out = previous.astype(np.float32, copy=True)
-    filled = counts > 0
-    out[filled] = (sums[filled] / counts[filled, None]).astype(np.float32)
-    return out
+    parts = [members[best_assign == p] for p in range(n)]
+    return parts, best_cost, best_init_cost
 
 
 def cm_partitioning(
@@ -384,25 +380,26 @@ def build_index(
 
 # magic+version, then: signature config, index config, vertex and node counts
 _HEADER = struct.Struct("<IIqIdIIqQQ")
+# the file ends with a BLAKE2b digest of every byte before it
+DIGEST_SIZE = 16
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
 def save_index(index: SubgraphIndex, path: str | Path) -> None:
     """Write the index to a little-endian binary file.
 
     The file holds the configs, the keyword table, the graph fingerprint,
-    the per-vertex signatures and the tree shape; what the shape and the
-    signatures determine is derived again on load.
+    the per-vertex signatures and the tree shape, sealed by a digest; what
+    the shape and the signatures determine is derived again on load.
     """
-    with open(path, "wb") as fh:
-        _write_index(index, fh)
-
-
-def _write_index(index: SubgraphIndex, fh: BinaryIO) -> None:
     sig = index.sig_config
     idx = index.index_config
-    fh.write(INDEX_MAGIC)
-    fh.write(bytes([INDEX_VERSION]))
-    fh.write(
+    chunks = [
+        INDEX_MAGIC,
+        bytes([INDEX_VERSION]),
         _HEADER.pack(
             sig.group_count,
             sig.bits_per_group,
@@ -414,33 +411,21 @@ def _write_index(index: SubgraphIndex, fh: BinaryIO) -> None:
             idx.seed,
             index.vertex_count,
             index.node_count(),
-        )
-    )
-    # keyword intern table
-    fh.write(struct.pack("<I", len(index.keyword_names)))
+        ),
+        # keyword intern table
+        struct.pack("<I", len(index.keyword_names)),
+    ]
     for name in index.keyword_names:
         data = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(data)))
-        fh.write(data)
-    fh.write(index.graph_fingerprint)
-    # aux arrays
-    fh.write(index.aux.bv.astype("<u8").tobytes())
-    fh.write(index.aux.nbv.astype("<u8").tobytes())
-    fh.write(index.aux.nk.astype("<i8").tobytes())
-    # tree shape
-    for shape in (index.child_counts, index.leaf_sizes, index.permutation):
-        fh.write(shape.astype("<u4").tobytes())
-
-
-def _read_exact(fh: BinaryIO, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IndexIntegrityError("index file is truncated")
-    return data
-
-
-def _read_u4(fh: BinaryIO, count: int) -> np.ndarray:
-    return np.frombuffer(_read_exact(fh, count * 4), dtype="<u4").astype(np.int64)
+        chunks += [struct.pack("<H", len(data)), data]
+    chunks.append(index.graph_fingerprint)
+    chunks += [index.aux.bv.astype("<u8").tobytes(), index.aux.nbv.astype("<u8").tobytes()]
+    chunks += [
+        shape.astype("<u4").tobytes()
+        for shape in (index.child_counts, index.leaf_sizes, index.permutation)
+    ]
+    payload = b"".join(chunks)
+    Path(path).write_bytes(payload + _digest(payload))
 
 
 def _check_shape(
@@ -468,82 +453,92 @@ def load_index(
 
     If a requested config disagrees with the file, a warning is issued and
     the file's config is used, since the persisted signatures were computed
-    under it. The tree shape is checked before the node aggregates and
-    tables are derived from it: the child counts must form one tree with
-    the header's node count, every leaf must have a member, and the leaves
-    must partition the vertex ids.
+    under it. The checks run in file order before anything is used: the
+    magic, then the version, then the trailing digest over every byte
+    before it, and only then the counts, each against the bytes left. The
+    tree shape is checked before the node aggregates and tables are derived
+    from it: the child counts must form one tree with the header's node
+    count, every leaf must have a member, and the leaves must partition the
+    vertex ids.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
-            raise IndexFormatError("not an index file (bad magic)")
-        version = fh.read(1)
-        if len(version) != 1:
+    data = Path(path).read_bytes()
+    if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
+        raise IndexFormatError("not an index file (bad magic)")
+    if len(data) == len(INDEX_MAGIC):
+        raise IndexIntegrityError("index file is truncated")
+    version = data[len(INDEX_MAGIC)]
+    if version != INDEX_VERSION:
+        raise IndexFormatError(f"unsupported index version {version}")
+    payload, digest = data[:-DIGEST_SIZE], data[-DIGEST_SIZE:]
+    if _digest(payload) != digest:
+        raise IndexIntegrityError("index file is damaged (digest mismatch)")
+    pos = len(INDEX_MAGIC) + 1
+
+    def take(count: int) -> bytes:
+        nonlocal pos
+        # slicing clamps, so a count larger than the file cannot overflow
+        chunk = payload[pos : pos + count]
+        if len(chunk) != count:
             raise IndexIntegrityError("index file is truncated")
-        if version[0] != INDEX_VERSION:
-            raise IndexFormatError(f"unsupported index version {version[0]}")
-        (
-            group_count,
-            bits_per_group,
-            sig_seed,
-            fanout,
-            gamma,
-            global_iter,
-            local_iter,
-            idx_seed,
-            vertex_count,
-            node_count,
-        ) = _HEADER.unpack(_read_exact(fh, _HEADER.size))
-        sig_config = SignatureConfig(
-            group_count=group_count, bits_per_group=bits_per_group, seed=sig_seed
-        )
-        index_config = IndexConfig(
-            fanout=fanout,
-            gamma=gamma,
-            global_iter=global_iter,
-            local_iter=local_iter,
-            seed=idx_seed,
-        )
-        for requested, stored, label in (
-            (requested_signature, sig_config, "signature config"),
-            (requested_index_config, index_config, "index config"),
-        ):
-            if requested is not None and requested != stored:
-                warnings.warn(
-                    f"index file was built with a different {label}; "
-                    f"using the file's ({stored})",
-                    stacklevel=2,
-                )
-        (name_count,) = struct.unpack("<I", _read_exact(fh, 4))
-        names = []
-        for _ in range(name_count):
-            (length,) = struct.unpack("<H", _read_exact(fh, 2))
-            names.append(_read_exact(fh, length).decode("utf-8"))
-        fingerprint = _read_exact(fh, FINGERPRINT_SIZE)
-        m, w = sig_config.group_count, sig_config.words_per_group
-        sig_bytes = vertex_count * m * w * 8
-        bv = np.frombuffer(_read_exact(fh, sig_bytes), dtype="<u8").reshape(
-            vertex_count, m, w
-        )
-        nbv = np.frombuffer(_read_exact(fh, sig_bytes), dtype="<u8").reshape(
-            vertex_count, m, w
-        )
-        nk = np.frombuffer(_read_exact(fh, vertex_count * 8), dtype="<i8")
-        aux = AuxData(
-            sig_config,
-            bv.astype(np.uint64),
-            nbv.astype(np.uint64),
-            nk.astype(np.int64),
-        )
-        child_counts = _read_u4(fh, node_count)
-        leaf_sizes = _read_u4(fh, int(np.count_nonzero(child_counts == 0)))
-        permutation = _read_u4(fh, vertex_count)
-        if fh.read(1):
-            raise IndexIntegrityError("trailing bytes after the tree shape")
+        pos += count
+        return chunk
+
+    def u4(count: int) -> np.ndarray:
+        return np.frombuffer(take(count * 4), dtype="<u4").astype(np.int64)
+
+    (
+        group_count,
+        bits_per_group,
+        sig_seed,
+        fanout,
+        gamma,
+        global_iter,
+        local_iter,
+        idx_seed,
+        vertex_count,
+        node_count,
+    ) = _HEADER.unpack(take(_HEADER.size))
+    sig_config = SignatureConfig(
+        group_count=group_count, bits_per_group=bits_per_group, seed=sig_seed
+    )
+    index_config = IndexConfig(
+        fanout=fanout,
+        gamma=gamma,
+        global_iter=global_iter,
+        local_iter=local_iter,
+        seed=idx_seed,
+    )
+    for requested, stored, label in (
+        (requested_signature, sig_config, "signature config"),
+        (requested_index_config, index_config, "index config"),
+    ):
+        if requested is not None and requested != stored:
+            warnings.warn(
+                f"index file was built with a different {label}; "
+                f"using the file's ({stored})",
+                stacklevel=2,
+            )
+    (name_count,) = struct.unpack("<I", take(4))
+    names = []
+    for _ in range(name_count):
+        (length,) = struct.unpack("<H", take(2))
+        names.append(take(length).decode("utf-8"))
+    fingerprint = take(FINGERPRINT_SIZE)
+    sig_shape = (vertex_count, sig_config.group_count, sig_config.words_per_group)
+    sig_bytes = math.prod(sig_shape) * 8
+    bv, nbv = (
+        np.frombuffer(take(sig_bytes), dtype="<u8").reshape(sig_shape).astype(np.uint64)
+        for _ in range(2)
+    )
+    child_counts = u4(node_count)
+    leaf_sizes = u4(int(np.count_nonzero(child_counts == 0)))
+    permutation = u4(vertex_count)
+    if pos != len(payload):
+        raise IndexIntegrityError("trailing bytes after the tree shape")
     _check_shape(child_counts, leaf_sizes, permutation, vertex_count)
     return SubgraphIndex(
         index_config=index_config,
-        aux=aux,
+        aux=AuxData(sig_config, bv, nbv),
         keyword_names=tuple(names),
         vertex_count=vertex_count,
         graph_fingerprint=fingerprint,

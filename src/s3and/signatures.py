@@ -62,11 +62,10 @@ class SignatureConfig:
 
 
 class VertexAux(NamedTuple):
-    """Per-vertex signature data: own bits, neighborhood bits, neighbor keyword count."""
+    """Per-vertex signature data: own bits and neighborhood bits."""
 
     bv: np.ndarray
     nbv: np.ndarray
-    nk: int
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -171,30 +170,24 @@ def unpack_bits(bv: np.ndarray, cfg: SignatureConfig) -> np.ndarray:
     return bits.reshape(*lead, cfg.group_count * cfg.bits_per_group)
 
 
+@dataclass(eq=False, repr=False)
 class AuxData:
     """Signature arrays for a whole graph.
 
-    ``bv[i]`` is vertex ``i``'s own signature, ``nbv[i]`` the OR of its
-    neighbors' signatures, and ``nk[i]`` the number of distinct keywords
-    across its neighbors. Isolated vertices get zero signatures and nk 0.
-    Indexing yields :class:`VertexAux` views.
+    ``bv[i]`` is vertex ``i``'s own signature and ``nbv[i]`` the OR of its
+    neighbors' signatures; an isolated vertex gets a zero ``nbv``. Indexing
+    yields :class:`VertexAux` views.
     """
 
-    __slots__ = ("cfg", "bv", "nbv", "nk")
-
-    def __init__(
-        self, cfg: SignatureConfig, bv: np.ndarray, nbv: np.ndarray, nk: np.ndarray
-    ) -> None:
-        self.cfg = cfg
-        self.bv = bv
-        self.nbv = nbv
-        self.nk = nk
+    cfg: SignatureConfig
+    bv: np.ndarray
+    nbv: np.ndarray
 
     def __len__(self) -> int:
         return self.bv.shape[0]
 
     def __getitem__(self, i: int) -> VertexAux:
-        return VertexAux(self.bv[i], self.nbv[i], int(self.nk[i]))
+        return VertexAux(self.bv[i], self.nbv[i])
 
     def flat_bv(self) -> np.ndarray:
         """Signatures flattened to ``(n, groups * words)`` for batch kernels."""
@@ -213,10 +206,4 @@ def build_aux(g: DataGraph, cfg: SignatureConfig) -> AuxData:
         ev = np.fromiter((v for _, v in g.edges), dtype=np.int64, count=g.edge_count)
         np.bitwise_or.at(nbv, eu, bv[ev])
         np.bitwise_or.at(nbv, ev, bv[eu])
-    nk = np.zeros(g.vertex_count, dtype=np.int64)
-    for i in range(g.vertex_count):
-        union: set[int] = set()
-        for w in g.adjacency[i]:
-            union.update(g.keywords[w])
-        nk[i] = len(union)
-    return AuxData(cfg, bv, nbv, nk)
+    return AuxData(cfg, bv, nbv)

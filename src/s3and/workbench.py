@@ -226,7 +226,7 @@ def generate_workload(
     return queries
 
 
-def run_baseline(g: DataGraph, spec: QuerySpec, look_ahead: bool = True) -> QueryResult:
+def run_baseline(g: DataGraph, spec: QuerySpec) -> QueryResult:
     """Index-free reference run: exact keyword scan, then the same refinement."""
     t0 = time.perf_counter()
     q = spec.query
@@ -242,7 +242,7 @@ def run_baseline(g: DataGraph, spec: QuerySpec, look_ahead: bool = True) -> Quer
     power = 1.0 - (sum(sizes) / total_pairs) if total_pairs else 0.0
     plan = make_query_plan(q, candidates)
     if all(sizes):
-        answers = refine(g, q, plan, candidates, spec.aggregate, spec.sigma, look_ahead)
+        answers = refine(g, q, plan, candidates, spec.aggregate, spec.sigma)
     else:
         answers = []
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -7,6 +7,7 @@ import pytest
 from s3and import IndexConfig, SignatureConfig, load_graph, load_index
 from s3and.cli import main
 from tests.conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
+from tests.test_index import huge_node_count, zeroed_signatures
 
 
 @pytest.fixture()
@@ -188,4 +189,26 @@ def test_index_with_bad_magic_is_a_one_line_error(team_files, tmp_path, capsys):
             "--agg", "max", "--sigma", 1,
         ],
         "bad magic",
+    )
+
+
+@pytest.mark.parametrize("damage", ["zeroed_signatures", "huge_node_count"])
+def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage):
+    graph, query = team_files
+    idx = tmp_path / "team.idx"
+    run(capsys, "index", "--graph", graph, "--out", idx, "--fanout", 4)
+    data = idx.read_bytes()
+    if damage == "zeroed_signatures":
+        index = load_index(idx)
+        data = zeroed_signatures(data, index, range(index.vertex_count))
+    else:
+        data = huge_node_count(data)
+    idx.write_bytes(data)
+    assert_one_line_error(
+        capsys,
+        [
+            "query", "--index", idx, "--graph", graph, "--query", query,
+            "--agg", "max", "--sigma", 1,
+        ],
+        "digest mismatch",
     )

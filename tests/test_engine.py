@@ -226,16 +226,15 @@ def scored(answers) -> list:
 
 
 def test_refine_look_ahead_is_lossless():
-    # with and without the look-ahead, from either plan, refine returns the
-    # oracle's mappings and scores in the oracle's order
+    # from either plan, refine (look-ahead included) returns the oracle's
+    # mappings and scores in the oracle's order
     for g, q, cands in refine_instances():
         for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
             expect = scored(oracle_search(g, q, aggregate, sigma))
             for prefer_small in (True, False):
                 plan = make_query_plan(q, cands, prefer_small=prefer_small)
-                for look_ahead in (True, False):
-                    got = refine(g, q, plan, cands, aggregate, sigma, look_ahead)
-                    assert scored(got) == expect, (aggregate, sigma, plan, look_ahead)
+                got = refine(g, q, plan, cands, aggregate, sigma)
+                assert scored(got) == expect, (aggregate, sigma, plan)
 
 
 def test_refine_never_scores_an_over_budget_mapping(monkeypatch):

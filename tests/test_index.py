@@ -1,7 +1,9 @@
 """Balanced signature tree: partitioning cost, construction, persistence."""
 
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from s3and import (
     save_index,
 )
 from s3and.index import (
+    DIGEST_SIZE,
+    _HEADER,
     _cm_partitioning_detail,
-    centroid_of,
-    l1_distance,
+    _distance_matrix,
     partition_cost,
 )
 from s3and.signatures import unpack_bits
@@ -57,7 +60,6 @@ def structurally_equal(a, b) -> bool:
     if not (
         np.array_equal(a.aux.bv, b.aux.bv)
         and np.array_equal(a.aux.nbv, b.aux.nbv)
-        and np.array_equal(a.aux.nk, b.aux.nk)
     ):
         return False
     return all(
@@ -72,36 +74,78 @@ def structurally_equal(a, b) -> bool:
 
 def test_l1_distance_to_own_bits_is_zero():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
-    bv = np.array([[0b1011], [0b0100]], dtype=np.uint64)
-    own = unpack_bits(bv[None, ...], cfg)[0].astype(np.float64)
-    assert l1_distance(bv, own, cfg) == 0.0
+    bv = np.array([[[0b1011], [0b0100]], [[0b0110], [0b1001]]], dtype=np.uint64)
+    own = unpack_bits(bv, cfg).astype(np.float64)
+    assert np.diag(_distance_matrix(own, own)).tolist() == [0.0, 0.0]
 
 
 def test_l1_distance_zero_vs_ones():
-    cfg = SignatureConfig(group_count=1, bits_per_group=8)
-    bv = np.zeros((1, 1), dtype=np.uint64)
-    assert l1_distance(bv, np.ones(8), cfg) == 8.0
+    assert _distance_matrix(np.zeros((1, 8)), np.ones((1, 8))).tolist() == [[8.0]]
 
 
 def test_l1_distance_matches_scalar_loop():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        bv = rng.integers(0, 256, (2, 1)).astype(np.uint64)
-        centroid = rng.random(16)
-        expect = 0.0
-        for grp in range(2):
-            for pos in range(8):
-                bit = (int(bv[grp, 0]) >> pos) & 1
-                expect += abs(bit - centroid[grp * 8 + pos])
-        assert l1_distance(bv, centroid, cfg) == pytest.approx(expect)
+    bv = rng.integers(0, 256, (10, 2, 1)).astype(np.uint64)
+    rows = unpack_bits(bv, cfg).astype(np.float32)
+    centroids = rng.random((3, 16)).astype(np.float32)
+    got = _distance_matrix(rows, centroids)
+    for i in range(10):
+        for p in range(3):
+            expect = 0.0
+            for grp in range(2):
+                for pos in range(8):
+                    bit = (int(bv[i, grp, 0]) >> pos) & 1
+                    expect += abs(bit - float(centroids[p, grp * 8 + pos]))
+            assert got[i, p] == pytest.approx(expect, rel=1e-5)
 
 
-def test_centroid_requires_nonempty_part():
-    bits = np.ones((3, 4))
-    with pytest.raises(ValueError):
-        centroid_of(np.array([], dtype=np.int64), bits)
-    assert np.allclose(centroid_of(np.array([0, 1]), bits), np.ones(4))
+def reference_cost(parts, bits) -> float:
+    """``intra / (inter + 1)`` straight from the definition, part by part."""
+    centroids = []
+    intra = 0.0
+    for part in parts:
+        if len(part) == 0:
+            continue
+        rows = [np.asarray(bits[v], dtype=np.float64) for v in part]
+        c = sum(rows) / len(rows)
+        centroids.append(c)
+        intra += sum(float(np.abs(x - c).sum()) for x in rows)
+    inter = 0.0
+    for a in range(len(centroids)):
+        for b in range(a + 1, len(centroids)):
+            inter += float(np.abs(centroids[a] - centroids[b]).sum())
+    return intra / (inter + 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_partition_cost_matches_definition(dtype):
+    rng = np.random.default_rng(4)
+    for trial in range(30):
+        count = int(rng.integers(1, 40))
+        bits = (rng.random((count, int(rng.integers(1, 20)))) < 0.4).astype(dtype)
+        n = int(rng.integers(1, 7))
+        # part n - 1 stays empty when n > 1, and trial 0 gives singletons
+        labels = rng.integers(0, max(n - 1, 1), count)
+        parts = [np.flatnonzero(labels == p) for p in range(n)]
+        if trial == 0:
+            parts = [np.array([v]) for v in range(count)] + [np.array([], dtype=np.int64)]
+        assert partition_cost(parts, bits) == pytest.approx(
+            reference_cost(parts, bits), rel=1e-9, abs=1e-12
+        )
+
+
+def test_split_cost_is_cost_of_returned_parts():
+    # the reported cost belongs to the split that is returned
+    rng = np.random.default_rng(5)
+    for trial in range(8):
+        count = int(rng.integers(8, 40))
+        bits = (rng.random((count, 12)) < 0.4).astype(np.float32)
+        parts, best, initial = _cm_partitioning_detail(
+            np.arange(count), 3, IndexConfig(fanout=3), bits, np.random.default_rng(trial)
+        )
+        assert best == partition_cost(parts, bits)
+        assert best == pytest.approx(reference_cost(parts, bits), rel=1e-9)
 
 
 def test_partition_cost_identical_vectors_is_zero():
@@ -294,7 +338,7 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_unsupported_version(saved_index, tmp_path):
     _, path = saved_index
     data = bytearray(path.read_bytes())
-    for version in (99, 1):
+    for version in (99, 1, 2):
         data[8] = version  # version byte follows the magic
         bad = tmp_path / f"vers{version}.idx"
         bad.write_bytes(bytes(data))
@@ -302,16 +346,75 @@ def test_load_rejects_unsupported_version(saved_index, tmp_path):
             load_index(bad)
 
 
+def _sealed(payload: bytes) -> bytes:
+    """``payload`` followed by the digest that ``load_index`` expects."""
+    return payload + hashlib.blake2b(payload, digest_size=DIGEST_SIZE).digest()
+
+
 def _damaged_copy(path, index, damage, out):
-    """Copy the index file to ``out`` with ``damage`` applied to its tree shape."""
-    data = path.read_bytes()
+    """Copy the index file to ``out`` with ``damage`` applied to its tree shape.
+
+    The copy is sealed again, so that the tree-shape checks are reached.
+    """
+    data = path.read_bytes()[:-DIGEST_SIZE]
     sizes = [index.node_count(), index.leaf_count(), index.vertex_count]
     cut = len(data) - 4 * sum(sizes)
     shape = np.frombuffer(data[cut:], dtype="<u4").copy()
     child_counts, leaf_sizes, permutation = np.split(shape, np.cumsum(sizes)[:2])
     damage(child_counts, leaf_sizes, permutation)
-    out.write_bytes(data[:cut] + shape.tobytes())
+    out.write_bytes(_sealed(data[:cut] + shape.tobytes()))
     return out
+
+
+# the node count is the header's last field, right before the keyword table
+_NODE_COUNT_AT = 9 + _HEADER.size - 8
+
+
+def zeroed_signatures(data: bytes, index, vertices) -> bytes:
+    """``data`` with the stored own signatures of ``vertices`` zeroed."""
+    words = index.sig_config.group_count * index.sig_config.words_per_group
+    shape_bytes = 4 * (index.node_count() + index.leaf_count() + index.vertex_count)
+    bv_at = len(data) - DIGEST_SIZE - shape_bytes - 2 * index.vertex_count * words * 8
+    out = bytearray(data)
+    for v in vertices:
+        start = bv_at + v * words * 8
+        out[start : start + words * 8] = bytes(words * 8)
+    return bytes(out)
+
+
+def huge_node_count(data: bytes) -> bytes:
+    """``data`` with the header's node count set to 2**62."""
+    return data[:_NODE_COUNT_AT] + struct.pack("<Q", 2**62) + data[_NODE_COUNT_AT + 8 :]
+
+
+def test_load_rejects_zeroed_signatures(tmp_path):
+    # 19 zeroed signatures in a 2,000-vertex index used to load and change
+    # the answers of every query that touched them
+    g = generate_graph(SyntheticSpec(vertex_count=2000, keyword_domain_size=30, seed=1))
+    index = build_index(g)
+    path = tmp_path / "g.idx"
+    save_index(index, path)
+    zeroed = zeroed_signatures(path.read_bytes(), index, range(0, 1900, 100))
+    bad = tmp_path / "zeroed.idx"
+    bad.write_bytes(zeroed)
+    with pytest.raises(IndexIntegrityError, match="digest"):
+        load_index(bad)
+    # the digest is what notices: sealed again, the same bytes load
+    bad.write_bytes(_sealed(zeroed[:-DIGEST_SIZE]))
+    assert not load_index(bad).aux.bv[100].any()
+
+
+def test_load_rejects_huge_node_count(saved_index, tmp_path):
+    _, path = saved_index
+    data = path.read_bytes()
+    bad = tmp_path / "huge.idx"
+    bad.write_bytes(huge_node_count(data))
+    with pytest.raises(IndexIntegrityError, match="digest"):
+        load_index(bad)
+    # sealed again, the count is checked against the bytes left
+    bad.write_bytes(_sealed(huge_node_count(data)[:-DIGEST_SIZE]))
+    with pytest.raises(IndexIntegrityError, match="truncated"):
+        load_index(bad)
 
 
 def test_load_rejects_repeated_vertex(saved_index, tmp_path):

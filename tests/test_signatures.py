@@ -96,26 +96,6 @@ def test_isolated_vertex_aux():
     g = make_graph(3, [(0, 1)], [[0], [1], [2]], ["a", "b", "c"])
     aux = build_aux(g, SignatureConfig())
     assert not aux[2].nbv.any()
-    assert aux[2].nk == 0
-
-
-def test_nk_matches_set_union_oracle():
-    rng = np.random.default_rng(3)
-    edges = sorted(
-        {
-            (int(min(u, v)), int(max(u, v)))
-            for u, v in rng.integers(0, 10, (18, 2))
-            if u != v
-        }
-    )
-    keywords = [sorted(set(map(int, rng.integers(0, 6, 3)))) for _ in range(10)]
-    g = make_graph(10, edges, keywords, [f"k{i}" for i in range(6)])
-    aux = build_aux(g, SignatureConfig())
-    for v in range(10):
-        union = set()
-        for nb in g.adjacency[v]:
-            union |= set(g.keywords[nb])
-        assert aux[v].nk == len(union)
 
 
 def test_containment_zero_query_always_true():
