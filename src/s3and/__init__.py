@@ -79,6 +79,7 @@ from .engine import (
     collect_candidates,
     exact_keyword_filter,
     make_query_plan,
+    neighbor_support_filter,
     refine,
     run_query,
 )
@@ -164,6 +165,7 @@ __all__ = [
     "collect_candidates",
     "exact_keyword_filter",
     "make_query_plan",
+    "neighbor_support_filter",
     "refine",
     "run_query",
     # workbench

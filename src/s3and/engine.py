@@ -2,8 +2,22 @@
 
 The pipeline is: traverse the signature tree collecting per-query-vertex
 candidate vertices (everything the pruning predicates cannot rule out), then
-recheck candidates against exact keyword sets, order query vertices into a
-connected plan, and backtrack over the plan to enumerate answer mappings.
+recheck candidates against exact keyword sets, drop candidates that lack
+neighbor support, order query vertices into a connected plan, and backtrack
+over the plan to enumerate answer mappings.
+
+Neighbor support is the candidate-space refinement of GraphQL, CFL-Match
+and DAF, relaxed by the ``sigma`` budget. In an answer every query vertex
+maps to one of its candidates, so if no candidate of a query neighbor
+``ql`` of ``qj`` is adjacent to ``v``, the pair ``(qj, v)`` takes a bump
+from ``ql`` in every answer through it. Under MAX a pair's count is at most
+``sigma``, so ``v`` is dropped once more than ``sigma`` neighbors lack
+support. Under SUM the score is twice the number of unmatched query
+edges, since each counts at both ends, so an answer has at most
+``sigma // 2`` of them and a pair's bumps are among those. Dropping a
+candidate only removes support from others, so the rule is applied until
+nothing changes; since it only drops pairs no answer uses, the answers
+stay the same.
 
 Backtracking keeps each pair's neighbor-difference count as the mapping
 grows. A count can only grow as the mapping is extended, so the bound that
@@ -41,7 +55,6 @@ from .semantics import (
     MatchAnswer,
     QuerySpec,
     is_answer,
-    keyword_feasible,
     sort_answers,
 )
 
@@ -52,6 +65,7 @@ __all__ = [
     "collect_candidates",
     "exact_keyword_filter",
     "make_query_plan",
+    "neighbor_support_filter",
     "refine",
     "run_query",
 ]
@@ -100,6 +114,8 @@ class QueryStats:
     wall_ms: float
     answers: int
     distinct_vertex_sets: int
+    # (query vertex, candidate) pairs the neighbor-support filter removed
+    support_killed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +125,7 @@ class QueryStats:
             "wall_ms": self.wall_ms,
             "answers": self.answers,
             "distinct_vertex_sets": self.distinct_vertex_sets,
+            "support_killed": self.support_killed,
         }
 
 
@@ -242,15 +259,63 @@ def exact_keyword_filter(
     g: DataGraph, q: QueryGraph, candidates: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Drop hash-collision survivors: keep only exact keyword containment."""
+    keyword_sets = g.keyword_sets
     out = []
-    for qj, cand in enumerate(candidates):
+    for need, cand in zip(q.keyword_sets, candidates):
         out.append(
             np.array(
-                [v for v in cand.tolist() if keyword_feasible(g, q, qj, v)],
-                dtype=np.int64,
+                [v for v in cand.tolist() if need <= keyword_sets[v]], dtype=np.int64
             )
         )
     return out
+
+
+def neighbor_support_filter(
+    g: DataGraph,
+    q: QueryGraph,
+    candidates: Sequence[np.ndarray],
+    aggregate: AggregateKind,
+    sigma: int,
+) -> tuple[list[list[int]], int]:
+    """Drop candidates too many of whose query neighbors lack support.
+
+    A query neighbor ``ql`` of ``qj`` supports candidate ``v`` when some
+    candidate of ``ql`` is adjacent to ``v``; each unsupported neighbor is
+    a bump to ``(qj, v)`` in every mapping through it. A pair can take
+    ``sigma`` bumps under MAX and ``sigma // 2`` under SUM, so ``v`` is
+    dropped past that many. Dropping a candidate can leave others without
+    support, so the rule runs on a worklist until nothing changes. Returns
+    the surviving candidates as lists, in their given order, and the number
+    of pairs dropped.
+    """
+    slack = sigma if aggregate is AggregateKind.MAX else sigma // 2
+    adjacency = g.adjacency_sets
+    nbrs = q.adjacency
+    cand_lists = [c.tolist() for c in candidates]
+    cand_sets = [set(c) for c in cand_lists]
+    # a vertex with no more neighbors than the slack can never be dropped
+    pending = [qj for qj in range(q.vertex_count) if len(nbrs[qj]) > slack]
+    queued = set(pending)
+    killed = 0
+    while pending:
+        qj = pending.pop()
+        queued.discard(qj)
+        others = [cand_sets[ql] for ql in nbrs[qj]]
+        keep = [
+            v
+            for v in cand_lists[qj]
+            if sum(map(adjacency[v].isdisjoint, others)) <= slack
+        ]
+        if len(keep) == len(cand_lists[qj]):
+            continue
+        killed += len(cand_lists[qj]) - len(keep)
+        cand_lists[qj] = keep
+        cand_sets[qj] = set(keep)
+        for ql in nbrs[qj]:
+            if ql not in queued and len(nbrs[ql]) > slack:
+                queued.add(ql)
+                pending.append(ql)
+    return cand_lists, killed
 
 
 def make_query_plan(
@@ -267,16 +332,21 @@ def make_query_plan(
     nq = q.vertex_count
     sizes = [len(c) for c in candidates]
     sign = 1 if prefer_small else -1
-    first = min(range(nq), key=lambda j: (sign * sizes[j], j))
-    plan = [first]
-    chosen = {first}
+
+    def key(j: int) -> tuple[int, int]:
+        return sign * sizes[j], j
+
+    plan = [min(range(nq), key=key)]
+    chosen = set(plan)
+    frontier = set(q.adjacency[plan[0]])
     while len(plan) < nq:
-        frontier = {ql for j in plan for ql in q.adjacency[j]} - chosen
         if not frontier:
             raise ValueError("query graph is not connected")
-        nxt = min(frontier, key=lambda j: (sign * sizes[j], j))
+        nxt = min(frontier, key=key)
         plan.append(nxt)
         chosen.add(nxt)
+        frontier.discard(nxt)
+        frontier.update(ql for ql in q.adjacency[nxt] if ql not in chosen)
     return plan
 
 
@@ -394,10 +464,13 @@ def run_query(
     ablation: Ablation = Ablation(),
     plan: Sequence[int] | None = None,
 ) -> QueryResult:
-    """Full pipeline: traverse, recheck keywords, plan, refine, measure.
+    """Full pipeline: traverse, recheck keywords, filter, plan, refine, measure.
 
     The index must have been built over ``g``: a graph with another vertex
-    count, keyword table or fingerprint raises ``ValueError``.
+    count, keyword table or fingerprint raises ``ValueError``. The result's
+    ``candidates`` and the candidate stats are the rechecked index
+    candidates; what the neighbor-support filter drops from them is counted
+    in ``stats.support_killed``.
     """
     if g.vertex_count != index.vertex_count:
         raise ValueError(
@@ -416,14 +489,17 @@ def run_query(
     sizes = [len(c) for c in candidates]
     total_pairs = g.vertex_count * q.vertex_count
     power = 1.0 - (sum(sizes) / total_pairs) if total_pairs else 0.0
+    supported, killed = neighbor_support_filter(
+        g, q, candidates, spec.aggregate, spec.sigma
+    )
     if plan is None:
-        plan = make_query_plan(q, candidates)
+        plan = make_query_plan(q, supported)
     else:
         plan = list(plan)
         if sorted(plan) != list(range(q.vertex_count)):
             raise ValueError("plan must order every query vertex exactly once")
-    if all(sizes):
-        answers = refine(g, q, plan, candidates, spec.aggregate, spec.sigma)
+    if all(supported):
+        answers = refine(g, q, plan, supported, spec.aggregate, spec.sigma)
     else:
         answers = []
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -434,5 +510,6 @@ def run_query(
         wall_ms=wall_ms,
         answers=len(answers),
         distinct_vertex_sets=len({a.vertex_set for a in answers}),
+        support_killed=killed,
     )
     return QueryResult(answers=answers, stats=stats, candidates=candidates)

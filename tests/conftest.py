@@ -144,6 +144,62 @@ def random_instance(
     return g, q
 
 
+def reference_query_plan(
+    q: QueryGraph, candidates, prefer_small: bool = True
+) -> list[int]:
+    """The plan rule with the frontier rebuilt from the whole plan each step.
+
+    The oracle for ``make_query_plan``, which grows its frontier as it goes.
+    """
+    nq = q.vertex_count
+    sizes = [len(c) for c in candidates]
+    sign = 1 if prefer_small else -1
+    first = min(range(nq), key=lambda j: (sign * sizes[j], j))
+    plan = [first]
+    chosen = {first}
+    while len(plan) < nq:
+        frontier = {ql for j in plan for ql in q.adjacency[j]} - chosen
+        if not frontier:
+            raise ValueError("query graph is not connected")
+        nxt = min(frontier, key=lambda j: (sign * sizes[j], j))
+        plan.append(nxt)
+        chosen.add(nxt)
+    return plan
+
+
+def reference_support_filter(
+    g: DataGraph, q: QueryGraph, candidates, aggregate: AggregateKind, sigma: int
+) -> tuple[list[list[int]], int]:
+    """The neighbor-support rule by whole sweeps, straight from its statement.
+
+    Each sweep recomputes every query vertex's survivors from the previous
+    sweep's sets, scanning every candidate of every query neighbor, until a
+    sweep changes nothing. A pair may lack support from ``sigma`` query
+    neighbors under MAX and ``sigma // 2`` under SUM. Returns the survivors
+    per query vertex, sorted, and the number of pairs dropped.
+    """
+    limit = sigma if aggregate is AggregateKind.MAX else sigma // 2
+    current = [sorted(int(v) for v in c) for c in candidates]
+    while True:
+        swept = [
+            [
+                v
+                for v in current[qj]
+                if sum(
+                    not any(u in g.adjacency_sets[v] for u in current[ql])
+                    for ql in q.adjacency[qj]
+                )
+                <= limit
+            ]
+            for qj in range(q.vertex_count)
+        ]
+        if swept == current:
+            break
+        current = swept
+    dropped = sum(len(c) for c in candidates) - sum(len(c) for c in current)
+    return current, dropped
+
+
 def random_index_config(rng: np.random.Generator) -> IndexConfig:
     return IndexConfig(
         fanout=int(rng.choice([4, 8, 16])),

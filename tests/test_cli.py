@@ -7,7 +7,10 @@ import pytest
 from s3and import IndexConfig, SignatureConfig, load_graph, load_index
 from s3and.cli import main
 from tests.conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
-from tests.test_index import huge_node_count, zeroed_signatures
+from tests.test_index import huge_node_count, resealed_node_count, zeroed_signatures
+
+# line 6 holds an edge whose second endpoint is not an integer
+MALFORMED_GRAPH_TEXT = "t 3 2\nv 0 ml\nv 1 ml\nv 2 ml\ne 0 1\ne 1 x\n"
 
 
 @pytest.fixture()
@@ -81,6 +84,7 @@ def test_query_stats_json_and_flags(team_files, tmp_path, capsys):
         "wall_ms",
         "answers",
         "distinct_vertex_sets",
+        "support_killed",
     }
     assert stats["answers"] == len(default_out.splitlines())
 
@@ -111,6 +115,13 @@ def test_baseline_stats_json(team_files, tmp_path, capsys):
     stats = json.loads(stats_path.read_text())
     assert stats["nodes_visited"] == 0
     assert stats["answers"] >= 1
+    assert stats["support_killed"] == 0
+    run(
+        capsys,
+        "oracle", "--graph", graph, "--query", query,
+        "--agg", "sum", "--sigma", "4", "--stats-json", stats_path,
+    )
+    assert json.loads(stats_path.read_text())["support_killed"] == 0
 
 
 def test_bench_writes_csv_and_json(tmp_path, capsys, monkeypatch):
@@ -192,7 +203,25 @@ def test_index_with_bad_magic_is_a_one_line_error(team_files, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("damage", ["zeroed_signatures", "huge_node_count"])
+@pytest.mark.parametrize("command", ["index", "workload", "oracle", "baseline"])
+def test_malformed_graph_is_a_one_line_error(team_files, tmp_path, capsys, command):
+    _, query = team_files
+    graph = tmp_path / "bad.graph"
+    graph.write_text(MALFORMED_GRAPH_TEXT)
+    args = {
+        "index": ["--out", tmp_path / "bad.idx"],
+        "workload": ["--out-dir", tmp_path / "queries"],
+        "oracle": ["--query", query, "--agg", "max", "--sigma", 1],
+        "baseline": ["--query", query, "--agg", "max", "--sigma", 1],
+    }[command]
+    assert_one_line_error(
+        capsys, [command, "--graph", graph, *args], "line 6: non-integer edge endpoint"
+    )
+
+
+@pytest.mark.parametrize(
+    "damage", ["zeroed_signatures", "huge_node_count", "node_count_plus_one"]
+)
 def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage):
     graph, query = team_files
     idx = tmp_path / "team.idx"
@@ -201,8 +230,10 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
     if damage == "zeroed_signatures":
         index = load_index(idx)
         data = zeroed_signatures(data, index, range(index.vertex_count))
-    else:
+    elif damage == "huge_node_count":
         data = huge_node_count(data)
+    else:
+        data = resealed_node_count(data, 1)
     idx.write_bytes(data)
     assert_one_line_error(
         capsys,
@@ -210,5 +241,5 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
             "query", "--index", idx, "--graph", graph, "--query", query,
             "--agg", "max", "--sigma", 1,
         ],
-        "digest mismatch",
+        "truncated" if damage == "node_count_plus_one" else "digest mismatch",
     )

@@ -20,6 +20,7 @@ from s3and import (
     keyword_feasible,
     make_graph,
     make_query_plan,
+    neighbor_support_filter,
     oracle_search,
     parse_query,
     refine,
@@ -31,6 +32,8 @@ from tests.conftest import (
     random_index_config,
     random_instance,
     reference_candidates,
+    reference_query_plan,
+    reference_support_filter,
 )
 
 MAX = AggregateKind.MAX
@@ -152,6 +155,19 @@ def test_plan_every_prefix_connected(team_query):
             assert seen == prefix
 
 
+def test_plan_matches_reference_on_random_queries():
+    # sizes drawn from a small range, so size ties and the id tie-break are
+    # common
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        _, q = random_instance(rng, max_vertices=20, max_query=8)
+        cands = [range(int(rng.integers(0, 4))) for _ in range(q.vertex_count)]
+        for prefer_small in (True, False):
+            assert make_query_plan(q, cands, prefer_small) == reference_query_plan(
+                q, cands, prefer_small
+            )
+
+
 def test_plan_rejects_disconnected_query():
     q = make_graph(2, [], [[0], [0]], ["k"])
     q = q  # two isolated vertices
@@ -258,6 +274,101 @@ def test_refine_never_scores_an_over_budget_mapping(monkeypatch):
                 refine(g, q, plan, cands, aggregate, sigma)
     assert checked
     assert over == []
+
+
+# --- neighbor-support filter ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def support_cases():
+    """(graph, query, index, exact candidates, aggregate, sigma, oracle answers).
+
+    The refine instances plus eight random ones, under MAX and SUM at sigma
+    0-4.
+    """
+    rng = np.random.default_rng(31)
+    instances = [(g, q) for g, q, _ in refine_instances()]
+    instances += [random_instance(rng, max_vertices=40) for _ in range(8)]
+    cases = []
+    for g, q in instances:
+        index = build_index(g)
+        cands = [
+            np.array(
+                [vi for vi in range(g.vertex_count) if keyword_feasible(g, q, qj, vi)],
+                dtype=np.int64,
+            )
+            for qj in range(q.vertex_count)
+        ]
+        for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
+            expect = oracle_search(g, q, aggregate, sigma)
+            cases.append((g, q, index, cands, aggregate, sigma, expect))
+    return cases
+
+
+def test_run_query_matches_oracle_with_support_filter(support_cases):
+    # answers, scores and order equal the oracle's, and the filter's kill
+    # count equals the count of the sweep-by-sweep reference on the
+    # rechecked candidates
+    killed = 0
+    for g, q, index, _, aggregate, sigma, expect in support_cases:
+        res = run_query(index, g, QuerySpec(query=q, aggregate=aggregate, sigma=sigma))
+        assert scored(res.answers) == scored(expect), (aggregate, sigma)
+        _, dropped = reference_support_filter(g, q, res.candidates, aggregate, sigma)
+        assert res.stats.support_killed == dropped, (aggregate, sigma)
+        killed += dropped
+    assert killed > 0
+
+
+def test_support_filter_keeps_every_oracle_pair(support_cases):
+    for g, q, _, cands, aggregate, sigma, expect in support_cases:
+        kept, _ = neighbor_support_filter(g, q, cands, aggregate, sigma)
+        assert all(c == sorted(c) for c in kept)
+        for answer in expect:
+            for qj, vi in enumerate(answer.mapping):
+                assert vi in kept[qj], (aggregate, sigma, answer.mapping)
+
+
+def test_support_filter_runs_to_a_fixpoint():
+    # Query path 0-1-2-3 and the path 0-1-2-3 in the data, plus two chains
+    # of decoys with keyword k<j> for query vertex j. Vertex 4 (k1) has no
+    # k0 neighbor, so it goes first; then 5 (k2), whose only k1 neighbor was
+    # 4; then 6 (k3), whose only k2 neighbor was 5. The other chain runs the
+    # other way: 7 (k2) has no k3 neighbor, then 8 (k1), then 9 (k0). The
+    # chains need query vertices 1, 2 in opposite orders, so no single pass
+    # over the query vertices, in any order, drops all six.
+    g = make_graph(
+        10,
+        [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (3, 5), (7, 8), (8, 9)],
+        [[0], [1], [2], [3], [1], [2], [3], [2], [1], [0]],
+        ["k0", "k1", "k2", "k3"],
+    )
+    q = make_graph(
+        4, [(0, 1), (1, 2), (2, 3)], [[0], [1], [2], [3]], ["k0", "k1", "k2", "k3"]
+    )
+    cands = [
+        np.array([vi for vi in range(10) if keyword_feasible(g, q, qj, vi)])
+        for qj in range(4)
+    ]
+    # slack 0: MAX at sigma 0, SUM at sigma 0 and 1
+    for aggregate, sigma in ((MAX, 0), (SUM, 0), (SUM, 1)):
+        assert neighbor_support_filter(g, q, cands, aggregate, sigma) == (
+            [[0], [1], [2], [3]],
+            6,
+        )
+        # keyword pruning only: the tree's bounds would drop 4 and 7 first
+        res = run_query(
+            build_index(g),
+            g,
+            QuerySpec(query=q, aggregate=aggregate, sigma=sigma),
+            ablation=Ablation.parse("ks"),
+        )
+        assert [a.mapping for a in res.answers] == [(0, 1, 2, 3)]
+        assert res.stats.support_killed == 6
+    # slack 1 (MAX at sigma 1, SUM at sigma 2): a decoy keeps one neighbor
+    # with support, and no decoy lacks two
+    for aggregate, sigma in ((MAX, 1), (SUM, 2)):
+        kept, killed = neighbor_support_filter(g, q, cands, aggregate, sigma)
+        assert kept == [c.tolist() for c in cands] and killed == 0
 
 
 # --- full pipeline --------------------------------------------------------
@@ -398,6 +509,7 @@ def test_stats_dict_shape(small_index, team_graph, team_query):
         "wall_ms",
         "answers",
         "distinct_vertex_sets",
+        "support_killed",
     }
     assert d["answers"] == len(res.answers)
     assert d["wall_ms"] >= 0.0

@@ -382,9 +382,20 @@ def zeroed_signatures(data: bytes, index, vertices) -> bytes:
     return bytes(out)
 
 
+def with_node_count(data: bytes, count: int) -> bytes:
+    """``data`` with the header's node count set to ``count``, not sealed again."""
+    return data[:_NODE_COUNT_AT] + struct.pack("<Q", count) + data[_NODE_COUNT_AT + 8 :]
+
+
 def huge_node_count(data: bytes) -> bytes:
     """``data`` with the header's node count set to 2**62."""
-    return data[:_NODE_COUNT_AT] + struct.pack("<Q", 2**62) + data[_NODE_COUNT_AT + 8 :]
+    return with_node_count(data, 2**62)
+
+
+def resealed_node_count(data: bytes, shift: int) -> bytes:
+    """``data`` with the node count moved by ``shift`` and the digest recomputed."""
+    (count,) = struct.unpack_from("<Q", data, _NODE_COUNT_AT)
+    return _sealed(with_node_count(data, count + shift)[:-DIGEST_SIZE])
 
 
 def test_load_rejects_zeroed_signatures(tmp_path):
@@ -414,6 +425,19 @@ def test_load_rejects_huge_node_count(saved_index, tmp_path):
     # sealed again, the count is checked against the bytes left
     bad.write_bytes(_sealed(huge_node_count(data)[:-DIGEST_SIZE]))
     with pytest.raises(IndexIntegrityError, match="truncated"):
+        load_index(bad)
+
+
+@pytest.mark.parametrize("shift, message", [(1, "truncated"), (-1, "trailing bytes")])
+def test_load_rejects_resealed_node_count_off_by_one(
+    saved_index, tmp_path, shift, message
+):
+    # the digest matches, so the shape reads its counts against the bytes:
+    # one node more runs past the end, one fewer leaves bytes over
+    _, path = saved_index
+    bad = tmp_path / "off.idx"
+    bad.write_bytes(resealed_node_count(path.read_bytes(), shift))
+    with pytest.raises(IndexIntegrityError, match=message):
         load_index(bad)
 
 
