@@ -19,14 +19,29 @@ Both sums follow from a part's member count ``k`` and its column sums ``S``
 distance ``S (1 - S/k) + (k - S) S/k = 2S - 2S²/k`` from it. So a split is
 kept as one assignment vector, and each round gets every part's ``k`` and
 ``S`` from one one-hot matmul; the centroids and the cost both read them.
+The inter sum is taken per position from the ``m`` filled parts' centroid
+values sorted ascending, ``x_(0) <= ... <= x_(m-1)``: in the sum of
+``|x_a - x_b|`` over unordered pairs, ``x_(i)`` is the larger of ``i``
+pairs and the smaller of ``m - 1 - i``, so the sum is
+``Σ_i (2i - m + 1) x_(i)``, a sort in place of the ``m²`` broadcast.
 
 The optimizer restarts ``global_iter`` times from random member centers; each
 restart runs up to ``local_iter`` rounds of (recompute centroids, reassign
 members). Reassignment is capacity-bounded: members are visited in order and
 each goes to the nearest part that still has room under
-``ceil((1 + gamma) * |members| / fanout)``, ties to the lowest part index. A
-round's strategy is kept only if its cost strictly improves, and the initial
+``ceil((1 + gamma) * |members| / fanout)``, ties to the lowest part index.
+The capacity is capped at ``|members| - 1``, so every part is smaller than
+its split and the recursion ends for any finite ``gamma``. A round's
+strategy is kept only if its cost strictly improves, and the initial
 assignment honors the same capacity so every returned strategy is balanced.
+
+The assignment takes each row's ``argmin``, which returns the first of the
+row's smallest entries, so it is the first entry of the row's stable argsort.
+Parts only fill up, so a pick taken while more parts had room stays the
+nearest part with room for as long as it has room itself. Only when a row's
+pick is full does that part go to ``inf`` for the rows left, which then pick
+again. Each re-pick follows a part filling up, so a split has at most
+``fanout`` of them per round.
 """
 
 from __future__ import annotations
@@ -81,8 +96,8 @@ class IndexConfig:
     def __post_init__(self) -> None:
         if self.fanout < 2:
             raise ValueError("fanout must be at least 2")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be finite and non-negative")
         if self.global_iter < 1 or self.local_iter < 1:
             raise ValueError("iteration counts must be at least 1")
 
@@ -229,10 +244,10 @@ def _cost(counts: np.ndarray, sums: np.ndarray) -> float:
     filled = counts > 0
     k = counts[filled, None]
     s = sums[filled].astype(np.float64)
-    centroids = s / k
     intra = float((2.0 * s - 2.0 * s * s / k).sum())
-    # each unordered pair of centroids once
-    inter = float(np.abs(centroids[:, None] - centroids[None]).sum()) / 2.0
+    # each unordered pair of centroids once, per column from its sorted values
+    m = len(k)
+    inter = float(((2.0 * np.arange(m) - m + 1) @ np.sort(s / k, axis=0)).sum())
     return intra / (inter + 1.0)
 
 
@@ -247,29 +262,34 @@ def partition_cost(parts: Sequence[np.ndarray], bits: np.ndarray) -> float:
     return _cost(np.array([i.size for i in idx]), sums.reshape(len(idx), bits.shape[1]))
 
 
-def _distance_matrix(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """L1 distances from 0/1 rows to fractional centroids.
+def _distance_matrix(
+    rows: np.ndarray, row_ones: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """L1 distances from 0/1 rows, with row sums ``row_ones``, to fractional centroids.
 
     For x in {0,1}: |x - c| = x + c - 2xc, so the full matrix is a rank-one
     correction of a matmul, which is much faster than a direct abs-diff.
     """
-    row_ones = rows.sum(axis=1)
     cent_sum = centroids.sum(axis=1)
     return row_ones[:, None] + cent_sum[None, :] - 2.0 * (rows @ centroids.T)
 
 
 def _assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
-    """Greedy in row order: nearest part with room, ties to lowest part index."""
-    order = np.argsort(dist, axis=1, kind="stable")
-    counts = np.zeros(dist.shape[1], dtype=np.int64)
-    out = np.empty(dist.shape[0], dtype=np.int64)
-    for i, prefs in enumerate(order):
-        for p in prefs:
-            if counts[p] < cap:
-                out[i] = p
-                counts[p] += 1
-                break
-    return out
+    """Greedy in row order: nearest part with room, ties to lowest part index.
+
+    Each row takes its ``argmin``; a row whose pick is full sets that part
+    to ``inf`` from its own row on and re-picks every row left.
+    """
+    dist = dist.copy()
+    picks = dist.argmin(axis=1).tolist()
+    counts = [0] * dist.shape[1]
+    for i, p in enumerate(picks):
+        while counts[p] == cap:
+            dist[i:, p] = np.inf
+            picks[i:] = dist[i:].argmin(axis=1).tolist()
+            p = picks[i]
+        counts[p] += 1
+    return np.array(picks, dtype=np.int64)
 
 
 def _cm_partitioning_detail(
@@ -285,22 +305,28 @@ def _cm_partitioning_detail(
         parts = [members[i : i + 1] for i in range(len(members))]
         cost = partition_cost(parts, bits)
         return parts, cost, cost
-    cap = math.ceil((1.0 + cfg.gamma) * len(members) / n)
+    # below the member count, so every part is strictly smaller than the split
+    cap = min(math.ceil((1.0 + cfg.gamma) * len(members) / n), len(members) - 1)
     rows = bits[members]
+    row_ones = rows.sum(axis=1)
+
+    def nearest(centroids: np.ndarray) -> np.ndarray:
+        return _assign_capacitated(_distance_matrix(rows, row_ones, centroids), cap)
+
     best_assign: np.ndarray | None = None
     best_cost = math.inf
     best_init_cost = math.inf
     for _ in range(cfg.global_iter):
         centers = rng.choice(len(members), size=n, replace=False)
         centroids = rows[centers].astype(np.float32, copy=True)
-        assign = _assign_capacitated(_distance_matrix(rows, centroids), cap)
+        assign = nearest(centroids)
         counts, sums = _column_sums(rows, assign, n)
         cost = init_cost = _cost(counts, sums)
         for _ in range(cfg.local_iter):
             # each part's mean row; an empty part keeps its previous centroid
             filled = counts > 0
             centroids[filled] = sums[filled].astype(np.float64) / counts[filled, None]
-            new_assign = _assign_capacitated(_distance_matrix(rows, centroids), cap)
+            new_assign = nearest(centroids)
             new_counts, new_sums = _column_sums(rows, new_assign, n)
             new_cost = _cost(new_counts, new_sums)
             if new_cost < cost:

@@ -212,6 +212,25 @@ def small_signature_config() -> SignatureConfig:
     return SignatureConfig()
 
 
+def reference_assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
+    """Capacity-bounded assignment straight from its definition.
+
+    Rows are visited in order; each takes the first part in its stable
+    ascending order of distance (ties to the lowest part index) that holds
+    fewer than ``cap`` rows so far.
+    """
+    order = np.argsort(dist, axis=1, kind="stable")
+    counts = np.zeros(dist.shape[1], dtype=np.int64)
+    out = np.empty(dist.shape[0], dtype=np.int64)
+    for i, prefs in enumerate(order):
+        for p in prefs:
+            if counts[p] < cap:
+                out[i] = p
+                counts[p] += 1
+                break
+    return out
+
+
 # --- the tree, read off its shape -------------------------------------------
 #
 # These helpers read a built index's shape arrays (child counts, leaf sizes,
@@ -252,6 +271,20 @@ def index_aggregates(index) -> tuple[np.ndarray, np.ndarray]:
     return (~index.agg_bv_neg.T).reshape(shape), (~index.agg_nbv_neg.T).reshape(shape)
 
 
+def split_capacity(cfg: IndexConfig, size: int) -> int:
+    """The most members a child of a ``size``-member split may hold."""
+    return min(math.ceil((1 + cfg.gamma) * size / cfg.fanout), size - 1)
+
+
+def depth_bound(cfg: IndexConfig, size: int) -> int:
+    """The deepest a tree over ``size`` vertices can be: full children all the way."""
+    depth = 0
+    while size > cfg.fanout:
+        size = split_capacity(cfg, size)
+        depth += 1
+    return depth
+
+
 def audit_structure(index, g) -> None:
     """The shape is a balanced tree over ``g`` and every derived array agrees."""
     cfg = index.index_config
@@ -259,8 +292,7 @@ def audit_structure(index, g) -> None:
     children, members = tree_walk(index)
     # leaves partition the vertex set
     assert sorted(members[0]) == list(range(g.vertex_count))
-    # exact depth bound
-    assert index.depth() <= math.ceil(math.log(g.vertex_count) / math.log(cfg.fanout))
+    assert index.depth() <= depth_bound(cfg, g.vertex_count)
     agg_bv, agg_nbv = index_aggregates(index)
     for u, (kids, idx) in enumerate(zip(children, members)):
         assert np.array_equal(agg_bv[u], np.bitwise_or.reduce(aux.bv[idx], axis=0))
@@ -270,7 +302,7 @@ def audit_structure(index, g) -> None:
         assert child_row[child_row >= 0].tolist() == kids
         if kids:
             assert (member_row < 0).all()
-            cap = math.ceil((1 + cfg.gamma) * len(idx) / cfg.fanout)
+            cap = split_capacity(cfg, len(idx))
             for child in kids:
                 assert len(members[child]) <= cap
         else:

@@ -203,6 +203,35 @@ def test_index_with_bad_magic_is_a_one_line_error(team_files, tmp_path, capsys):
     )
 
 
+@pytest.fixture()
+def one_keyword_graph(tmp_path, capsys):
+    graph = tmp_path / "one.graph"
+    run(
+        capsys,
+        "gen", "--out", graph, "--vertices", 200,
+        "--domain-size", 1, "--keywords-per-vertex", 1,
+    )
+    return graph
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_non_finite_gamma_is_a_one_line_error(one_keyword_graph, tmp_path, capsys, gamma):
+    assert_one_line_error(
+        capsys,
+        ["index", "--graph", one_keyword_graph, "--out", tmp_path / "x.idx", "--gamma", gamma],
+        "gamma must be finite",
+    )
+
+
+def test_index_at_full_split_capacity(one_keyword_graph, tmp_path, capsys):
+    idx = tmp_path / "full.idx"
+    run(
+        capsys,
+        "index", "--graph", one_keyword_graph, "--out", idx, "--fanout", 2, "--gamma", 1,
+    )
+    assert load_index(idx).leaf_sizes.sum() == 200
+
+
 @pytest.mark.parametrize("command", ["index", "workload", "oracle", "baseline"])
 def test_malformed_graph_is_a_one_line_error(team_files, tmp_path, capsys, command):
     _, query = team_files

@@ -22,13 +22,14 @@ from s3and import (
 from s3and.index import (
     DIGEST_SIZE,
     _HEADER,
+    _assign_capacitated,
     _cm_partitioning_detail,
     _distance_matrix,
     partition_cost,
 )
 from s3and.signatures import unpack_bits
 from s3and.workbench import SyntheticSpec, generate_graph
-from tests.conftest import audit_structure
+from tests.conftest import audit_structure, reference_assign_capacitated
 
 CFG = SignatureConfig()
 
@@ -76,11 +77,11 @@ def test_l1_distance_to_own_bits_is_zero():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
     bv = np.array([[[0b1011], [0b0100]], [[0b0110], [0b1001]]], dtype=np.uint64)
     own = unpack_bits(bv, cfg).astype(np.float64)
-    assert np.diag(_distance_matrix(own, own)).tolist() == [0.0, 0.0]
+    assert np.diag(_distance_matrix(own, own.sum(axis=1), own)).tolist() == [0.0, 0.0]
 
 
 def test_l1_distance_zero_vs_ones():
-    assert _distance_matrix(np.zeros((1, 8)), np.ones((1, 8))).tolist() == [[8.0]]
+    assert _distance_matrix(np.zeros((1, 8)), np.zeros(1), np.ones((1, 8))).tolist() == [[8.0]]
 
 
 def test_l1_distance_matches_scalar_loop():
@@ -89,7 +90,7 @@ def test_l1_distance_matches_scalar_loop():
     bv = rng.integers(0, 256, (10, 2, 1)).astype(np.uint64)
     rows = unpack_bits(bv, cfg).astype(np.float32)
     centroids = rng.random((3, 16)).astype(np.float32)
-    got = _distance_matrix(rows, centroids)
+    got = _distance_matrix(rows, rows.sum(axis=1), centroids)
     for i in range(10):
         for p in range(3):
             expect = 0.0
@@ -130,6 +131,24 @@ def test_partition_cost_matches_definition(dtype):
         parts = [np.flatnonzero(labels == p) for p in range(n)]
         if trial == 0:
             parts = [np.array([v]) for v in range(count)] + [np.array([], dtype=np.int64)]
+        assert partition_cost(parts, bits) == pytest.approx(
+            reference_cost(parts, bits), rel=1e-9, abs=1e-12
+        )
+    # centroid columns with repeated values, where the sorted pair sum meets ties
+    base = (rng.random((6, 9)) < 0.5).astype(dtype)
+    base[:, 0], base[:, 1] = 1, 0
+    tied = np.concatenate([base, base, base, base[:2]])
+    tied_cases = [
+        # columns 0 and 1 equal in every row; each part's rows repeated
+        (tied, [np.arange(p, 18, 3) for p in range(3)] + [np.arange(18, 20)]),
+        # parts 0 and 1 hold copies of the same rows, so equal centroids
+        (tied, [np.arange(6), np.arange(6, 12), np.arange(12, 20)]),
+        # one filled part among empty ones
+        (tied, [np.array([], dtype=np.int64), np.arange(20), np.array([], dtype=np.int64)]),
+        # all rows equal: every column tied in every part
+        (np.ones((8, 5), dtype=dtype), [np.arange(0, 8, 2), np.arange(1, 8, 2)]),
+    ]
+    for bits, parts in tied_cases:
         assert partition_cost(parts, bits) == pytest.approx(
             reference_cost(parts, bits), rel=1e-9, abs=1e-12
         )
@@ -177,6 +196,42 @@ def test_partition_cost_ignores_empty_parts():
 
 
 # --- partitioning ---------------------------------------------------------
+
+
+def _assignment_cases():
+    """(label, distances, capacity): random, tie-heavy and near-full, 17 to 10,000 rows."""
+    rng = np.random.default_rng(21)
+    for rows, n in ((17, 16), (39, 16), (40, 3), (250, 8), (625, 16), (10_000, 16)):
+        tight = math.ceil(rows / n)
+        loose = math.ceil(1.2 * rows / n)
+        bits = (rng.random((rows, 24)) < 0.3).astype(np.float32)
+        # a fifth of the rows are copies of one row
+        bits[rng.random(rows) < 0.2] = bits[0]
+        centroids = bits[rng.choice(rows, n, replace=False)]
+        row_dist = _distance_matrix(bits, bits.sum(axis=1), centroids)
+        same = np.tile(rng.integers(0, 3, n).astype(np.float32), (rows, 1))
+        for label, dist in (
+            ("random", rng.random((rows, n)).astype(np.float32)),
+            ("rounded", rng.integers(0, 4, (rows, n)).astype(np.float64)),
+            ("identical rows", same),
+            ("all equal", np.zeros((rows, n))),
+            ("signature rows", row_dist),
+        ):
+            for cap in (tight, loose):
+                yield f"{label}, {rows}x{n}, cap {cap}", dist, cap
+
+
+def test_assign_capacitated_matches_reference():
+    for label, dist, cap in _assignment_cases():
+        got = _assign_capacitated(dist, cap)
+        assert got.tolist() == reference_assign_capacitated(dist, cap).tolist(), label
+        assert np.bincount(got).max() <= cap, label
+
+
+def test_assign_capacitated_leaves_distances_alone():
+    dist = np.zeros((5, 2))
+    _assign_capacitated(dist, 3)
+    assert not dist.any()
 
 
 def _cluster_bits() -> np.ndarray:
@@ -301,6 +356,24 @@ def test_build_thousand_vertex_audit():
     index = build_index(g, index_config=IndexConfig(fanout=8))
     audit_structure(index, g)
     assert index.leaf_count() >= 1000 / 8
+
+
+def test_build_identical_signatures_at_full_capacity():
+    # capacity ceil((1 + 1) * m / 2) = m: one part could keep every member
+    g = generate_graph(
+        SyntheticSpec(vertex_count=60, keyword_domain_size=1, keywords_per_vertex=1, seed=3)
+    )
+    cfg = IndexConfig(fanout=2, gamma=1.0)
+    index = build_index(g, index_config=cfg)
+    audit_structure(index, g)
+    # ties go to part 0, which takes all but one member at every split
+    assert index.depth() == g.vertex_count - 2
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, -0.1])
+def test_config_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        IndexConfig(gamma=gamma)
 
 
 def test_build_same_seed_is_identical():
