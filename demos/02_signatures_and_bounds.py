@@ -6,17 +6,24 @@ Every vertex gets a grouped bit vector of its keywords plus the OR of its
 neighbors' vectors. Superset tests on these vectors have no false
 negatives, so they can discard candidate pairs before any exact work. Two
 cheap lower bounds on the neighbor difference stack on top.
+
+The predicates are the batch functions the tree traversal runs: each takes
+many (entry, query vertex) pairs as two index arrays, over the index's
+complemented, word-major signature arrays. Here every call asks about a
+whole row of data vertices against one query vertex.
 """
+
+import numpy as np
 
 from s3and import (
     SignatureConfig,
-    build_aux,
+    build_index,
     build_query_side,
-    keyword_prune_vertex,
-    lb_nd_basic,
-    lb_nd_tight,
+    degree_shortfall,
+    keyword_contained,
     parse_graph,
     parse_query,
+    uncovered_neighbors,
 )
 
 GRAPH = """t 12 13
@@ -65,8 +72,10 @@ g = parse_graph(GRAPH)
 q = parse_query(QUERY, g)
 
 cfg = SignatureConfig()  # 5 groups of 64 bits, seed 0
-aux = build_aux(g, cfg)
+index = build_index(g, sig_config=cfg)
+aux = index.aux
 side = build_query_side(q, cfg)
+vertices = np.arange(g.vertex_count)
 
 print(f"signature shape per vertex: {aux[0].bv.shape} packed 64-bit words")
 print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux[0].bv.reshape(-1)]}")
@@ -76,23 +85,23 @@ print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux[0].nbv.reshape(-1
 # vertex, so the bit test alone removes them from every candidate set.
 print("\nvertices pruned by the keyword bits alone, per query vertex:")
 for qj in range(q.vertex_count):
-    pruned = [
-        vi for vi in range(g.vertex_count) if keyword_prune_vertex(aux[vi].bv, side.bv[qj])
-    ]
-    print(f"  query vertex {qj}: {pruned}")
+    kept = keyword_contained(index.bv_neg, vertices, side.bits, np.full_like(vertices, qj))
+    print(f"  query vertex {qj}: {vertices[~kept].tolist()}")
 
 # The degree bound: a data vertex with fewer neighbors than the query
 # vertex must miss at least the shortfall.
 print("\ndegree bound for query vertex 2 (degree 3):")
-for vi in (2, 10, 11):
-    lb = lb_nd_basic(3, len(g.adjacency[vi]))
+vs = np.array([2, 10, 11])
+shortfall = degree_shortfall(g.degree_vector, vs, side.degrees, np.full_like(vs, 2))
+for vi, lb in zip(vs.tolist(), shortfall.tolist()):
     print(f"  against vertex {vi} (degree {len(g.adjacency[vi])}): lower bound {lb}")
 
 # The neighborhood bound: each query neighbor whose bits are not covered
 # by the data vertex's neighborhood bits must contribute a difference.
 print("\nneighborhood bound for query vertex 0 (neighbors: backend, systems):")
-for vi in (0, 5, 11):
-    lb = lb_nd_tight(side, 0, aux[vi].nbv)
+vs = np.array([0, 5, 11])
+uncovered = uncovered_neighbors(index.nbv_neg, vs, side.neighbor_bits, np.full_like(vs, 0))
+for vi, lb in zip(vs.tolist(), uncovered.tolist()):
     names = ",".join(g.keyword_names[k] for k in g.keywords[vi])
     print(f"  against vertex {vi} ({names}): lower bound {lb}")
 

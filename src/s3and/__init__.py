@@ -45,8 +45,6 @@ from .signatures import (
     VertexAux,
     build_aux,
     build_bit_vectors,
-    containment_mask,
-    containment_test,
     hash_keyword,
     keyword_group,
     vertex_bit_vector,
@@ -54,12 +52,9 @@ from .signatures import (
 from .pruning import (
     QuerySideData,
     build_query_side,
-    keyword_prune_node,
-    keyword_prune_vertex,
-    lb_nd_basic,
-    lb_nd_node,
-    lb_nd_tight,
-    nd_prune_vertex,
+    degree_shortfall,
+    keyword_contained,
+    uncovered_neighbors,
 )
 from .index import (
     IndexConfig,
@@ -92,7 +87,6 @@ from .workbench import (
     generate_workload,
     run_baseline,
     run_benchmark,
-    worker_count,
     write_bench_csv,
     write_bench_json,
 )
@@ -137,17 +131,12 @@ __all__ = [
     "vertex_bit_vector",
     "build_bit_vectors",
     "build_aux",
-    "containment_test",
-    "containment_mask",
     # pruning
     "QuerySideData",
     "build_query_side",
-    "keyword_prune_vertex",
-    "keyword_prune_node",
-    "lb_nd_basic",
-    "lb_nd_tight",
-    "lb_nd_node",
-    "nd_prune_vertex",
+    "keyword_contained",
+    "uncovered_neighbors",
+    "degree_shortfall",
     # index
     "IndexConfig",
     "SubgraphIndex",
@@ -177,7 +166,6 @@ __all__ = [
     "generate_workload",
     "run_baseline",
     "run_benchmark",
-    "worker_count",
     "write_bench_csv",
     "write_bench_json",
     "__version__",

@@ -49,7 +49,13 @@ import numpy as np
 
 from .graph import DataGraph, QueryGraph
 from .index import SubgraphIndex
-from .pruning import QuerySideData, build_query_side
+from .pruning import (
+    QuerySideData,
+    build_query_side,
+    degree_shortfall,
+    keyword_contained,
+    uncovered_neighbors,
+)
 from .semantics import (
     AggregateKind,
     MatchAnswer,
@@ -136,39 +142,6 @@ class QueryResult:
     candidates: list[np.ndarray] = field(default_factory=list)
 
 
-def _contained(
-    neg: np.ndarray, ids: np.ndarray, q_bits: np.ndarray, qv: np.ndarray
-) -> np.ndarray:
-    """Pairs whose query vertex's bits all lie inside the entry's bits.
-
-    ``neg`` holds complemented signatures word-major, ``(words, entries)``,
-    and ``q_bits`` the query signatures as ``(words, nq)``: a pair passes
-    when no query bit meets a complemented (that is, missing) entry bit.
-    """
-    missing = neg.take(ids, axis=1) & q_bits.take(qv, axis=1)
-    return np.bitwise_or.reduce(missing, axis=0) == 0
-
-
-def _within_tight(
-    nbv_neg: np.ndarray,
-    ids: np.ndarray,
-    q_nbr: np.ndarray,
-    qv: np.ndarray,
-    sigma: int,
-) -> np.ndarray:
-    """Pairs whose neighborhood-signature bound stays within ``sigma``.
-
-    ``nbv_neg`` holds complemented neighborhood bits word-major and
-    ``q_nbr`` the zero-padded neighbor signatures as ``(slot, words, nq)``.
-    A query neighbor is uncovered when one of its bits is missing from the
-    entry's neighborhood bits; padding slots have no bits, so they are
-    never uncovered. The bound is the number of uncovered neighbors.
-    """
-    missing = q_nbr.take(qv, axis=2) & nbv_neg.take(ids, axis=1)
-    uncovered = np.bitwise_or.reduce(missing, axis=1) != 0
-    return np.add.reduce(uncovered, axis=0) <= sigma
-
-
 def _expand(table: np.ndarray, nodes: np.ndarray, qv: np.ndarray):
     """(entry, query vertex) pairs for every row entry of each (node, qv) pair."""
     rows = table.take(nodes, axis=0)
@@ -186,17 +159,15 @@ def _traverse(
     """Level-synchronous traversal over (node, live query vertex) pairs.
 
     Each level holds the live pairs of one tree depth as two index arrays.
-    Leaf pairs expand to (member, query vertex) pairs that get the member
-    checks; internal pairs expand to (child, query vertex) pairs that get
-    the keyword check, and the survivors of that the node-level tight
-    bound. What survives forms the next level. A node counts as visited
+    Leaf pairs expand to (member, query vertex) pairs that get the keyword
+    check, the degree bound and the tight bound over the vertex arrays;
+    internal pairs expand to (child, query vertex) pairs that get the
+    keyword check, and the survivors of that the tight bound, over the node
+    aggregates. What survives forms the next level. A node counts as visited
     when it holds at least one live pair; the root always does.
     """
     nq = qside.vertex_count
-    q_bits = np.ascontiguousarray(qside.flat_bv.T)
-    q_nbr = np.ascontiguousarray(qside.neighbor_table.transpose(1, 2, 0))
-    # the degree bound keeps a member when its degree reaches this floor
-    q_floor = qside.degrees - sigma
+    q_bits, q_nbr, q_deg = qside.bits, qside.neighbor_bits, qside.degrees
     seen = np.zeros(index.node_count(), dtype=bool)
     seen[0] = True
     nodes = np.zeros(nq, dtype=np.int64)
@@ -208,22 +179,22 @@ def _traverse(
             break
         if has_leaf:
             v, vq = _expand(index.member_table, nodes, qv)
-            keep = _contained(index.bv_neg, v, q_bits, vq)
+            keep = keyword_contained(index.bv_neg, v, q_bits, vq)
             if ablation.lb_basic:
-                keep &= degrees.take(v) >= q_floor.take(vq)
+                keep &= degree_shortfall(degrees, v, q_deg, vq) <= sigma
             v, vq = v[keep], vq[keep]
             if ablation.lb_tight:
-                keep = _within_tight(index.nbv_neg, v, q_nbr, vq, sigma)
+                keep = uncovered_neighbors(index.nbv_neg, v, q_nbr, vq) <= sigma
                 v, vq = v[keep], vq[keep]
             hit_v.append(v)
             hit_q.append(vq)
         if not has_inner:
             break
         c, cq = _expand(index.child_table, nodes, qv)
-        keep = _contained(index.agg_bv_neg, c, q_bits, cq)
+        keep = keyword_contained(index.agg_bv_neg, c, q_bits, cq)
         c, cq = c[keep], cq[keep]
         if ablation.lb_tight:
-            keep = _within_tight(index.agg_nbv_neg, c, q_nbr, cq, sigma)
+            keep = uncovered_neighbors(index.agg_nbv_neg, c, q_nbr, cq) <= sigma
             c, cq = c[keep], cq[keep]
         seen[c] = True
         nodes, qv = c, cq

@@ -240,8 +240,12 @@ def _parse_records(text: str) -> tuple[tuple[int, int], dict[int, list[str]], li
     return header, vertex_tokens, edge_list
 
 
-def parse_graph(text: str) -> DataGraph:
-    """Parse graph text into a :class:`DataGraph` with canonical interning."""
+def _parse_checked(text: str) -> tuple[int, list[list[str]], list[Edge]]:
+    """Parse a graph file and check its records against its header.
+
+    Returns the vertex count, each vertex's keyword tokens in id order (the
+    dummy keyword for a vertex with none) and the edge list.
+    """
     (n_vertices, n_edges), vertex_tokens, edge_list = _parse_records(text)
     if len(vertex_tokens) != n_vertices:
         raise GraphValidationError(
@@ -261,6 +265,12 @@ def parse_graph(text: str) -> DataGraph:
         vertex_tokens[i] if vertex_tokens[i] else [DUMMY_KEYWORD]
         for i in range(n_vertices)
     ]
+    return n_vertices, token_lists, edge_list
+
+
+def parse_graph(text: str) -> DataGraph:
+    """Parse graph text into a :class:`DataGraph` with canonical interning."""
+    n_vertices, token_lists, edge_list = _parse_checked(text)
     names = sorted({t for tokens in token_lists for t in tokens})
     intern = {name: i for i, name in enumerate(names)}
     keyword_ids = [[intern[t] for t in tokens] for tokens in token_lists]
@@ -294,27 +304,9 @@ def parse_query(text: str, base: DataGraph) -> QueryGraph:
     ids past its domain; they can never be contained in a data vertex, which
     is exactly the right semantics.
     """
-    (n_vertices, n_edges), vertex_tokens, edge_list = _parse_records(text)
-    if len(vertex_tokens) != n_vertices:
-        raise GraphValidationError(
-            f"header declares {n_vertices} vertices, file has {len(vertex_tokens)}"
-        )
-    if len(edge_list) != n_edges:
-        raise GraphValidationError(
-            f"header declares {n_edges} edges, file has {len(edge_list)}"
-        )
+    n_vertices, token_lists, edge_list = _parse_checked(text)
     if n_vertices < 1:
         raise GraphValidationError("query graph must have at least one vertex")
-    for vid in vertex_tokens:
-        if not (0 <= vid < n_vertices):
-            raise GraphValidationError(f"vertex id {vid} outside [0, {n_vertices})")
-    for u, v in edge_list:
-        if v >= n_vertices:
-            raise GraphValidationError(f"edge ({u}, {v}) references unknown vertex")
-    token_lists = [
-        vertex_tokens[i] if vertex_tokens[i] else [DUMMY_KEYWORD]
-        for i in range(n_vertices)
-    ]
     intern = {name: i for i, name in enumerate(base.keyword_names)}
     unknown = sorted(
         {t for tokens in token_lists for t in tokens if t not in intern}

@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -470,22 +469,15 @@ def _check_shape(
         raise IndexIntegrityError("leaf members are not a permutation of the vertices")
 
 
-def load_index(
-    path: str | Path,
-    requested_signature: SignatureConfig | None = None,
-    requested_index_config: IndexConfig | None = None,
-) -> SubgraphIndex:
-    """Read an index file; the file's stored configs always win.
+def load_index(path: str | Path) -> SubgraphIndex:
+    """Read an index file, with the signature and index configs it stores.
 
-    If a requested config disagrees with the file, a warning is issued and
-    the file's config is used, since the persisted signatures were computed
-    under it. The checks run in file order before anything is used: the
-    magic, then the version, then the trailing digest over every byte
-    before it, and only then the counts, each against the bytes left. The
-    tree shape is checked before the node aggregates and tables are derived
-    from it: the child counts must form one tree with the header's node
-    count, every leaf must have a member, and the leaves must partition the
-    vertex ids.
+    The checks run in file order before anything is used: the magic, then
+    the version, then the trailing digest over every byte before it, and
+    only then the counts, each against the bytes left. The tree shape is
+    checked before the node aggregates and tables are derived from it: the
+    child counts must form one tree with the header's node count, every
+    leaf must have a member, and the leaves must partition the vertex ids.
     """
     data = Path(path).read_bytes()
     if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
@@ -534,16 +526,6 @@ def load_index(
         local_iter=local_iter,
         seed=idx_seed,
     )
-    for requested, stored, label in (
-        (requested_signature, sig_config, "signature config"),
-        (requested_index_config, index_config, "index config"),
-    ):
-        if requested is not None and requested != stored:
-            warnings.warn(
-                f"index file was built with a different {label}; "
-                f"using the file's ({stored})",
-                stacklevel=2,
-            )
     (name_count,) = struct.unpack("<I", take(4))
     names = []
     for _ in range(name_count):

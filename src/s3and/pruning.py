@@ -11,126 +11,113 @@ cannot appear in any answer under the current threshold. Two families exist:
   SUM aggregate, so a pair with bound above sigma can never occur in an
   answer mapping regardless of the fold.
 
-The tight bound counts how many of the query vertex's neighbors have their
-keyword bits covered by the data vertex's neighborhood signature: an
-uncovered query neighbor cannot be mapped to any neighbor of the data vertex,
-so it contributes at least one to the difference. Node-level variants use a
-node's aggregates, which cover every member's, making the node bound a lower
-bound of every member's bound.
+The tight bound counts the query vertex's neighbors whose keyword bits are
+not covered by the data vertex's neighborhood signature: an uncovered query
+neighbor cannot be mapped to any neighbor of the data vertex, so it
+contributes at least one to the difference. A tree node's aggregates cover
+every member's, so the same functions over a node's aggregates give a
+bound of at most every member's bound.
+
+Each predicate runs over many (entry, query vertex) pairs at once, given as
+two index arrays: ``ids`` into the entry columns of a word-major array and
+``qv`` into the query side. An entry is a data vertex or a tree node,
+depending on the array passed (``SubgraphIndex.bv_neg`` or ``agg_bv_neg``,
+and likewise for the neighborhood bits). The bound functions return the
+bound itself; the caller compares it with sigma.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import QueryGraph
-from .signatures import SignatureConfig, build_bit_vectors, containment_test
+from .signatures import SignatureConfig, build_bit_vectors
 
 __all__ = [
     "QuerySideData",
     "build_query_side",
-    "keyword_prune_vertex",
-    "keyword_prune_node",
-    "lb_nd_basic",
-    "lb_nd_tight",
-    "lb_nd_node",
-    "nd_prune_vertex",
+    "keyword_contained",
+    "uncovered_neighbors",
+    "degree_shortfall",
 ]
 
 
 @dataclass(frozen=True)
 class QuerySideData:
-    """Signatures and degrees of one query graph, ready for batch checks.
+    """Signatures and degrees of one query graph, laid out for batch checks.
 
-    ``neighbor_rows`` stacks, for each query vertex in id order, the
-    signatures of its neighbors; ``neighbor_offsets[j]:neighbor_offsets[j+1]``
-    is query vertex ``j``'s slice. ``neighbor_table`` holds the same rows
-    as one zero-padded block per query vertex, for batch checks over many
-    (node, query vertex) pairs at once.
+    ``bits`` holds the query vertices' signatures word-major, ``(words,
+    nq)``. ``neighbor_bits[s, :, j]`` is the signature of query vertex
+    ``j``'s ``s``-th neighbor, zero-padded to the largest degree (and at
+    least one slot); a padding slot has no bits, so it is always covered.
     """
 
     cfg: SignatureConfig
     query: QueryGraph
-    bv: np.ndarray  # (nq, groups, words)
-    flat_bv: np.ndarray  # (nq, groups * words)
+    bits: np.ndarray  # (groups * words, nq)
+    neighbor_bits: np.ndarray  # (max(1, max degree), groups * words, nq)
     degrees: np.ndarray  # (nq,)
-    neighbor_rows: np.ndarray  # (sum degrees, groups * words)
-    neighbor_offsets: np.ndarray  # (nq + 1,)
-    neighbor_table: np.ndarray  # (nq, max(1, max degree), groups * words)
 
     @property
     def vertex_count(self) -> int:
-        return self.bv.shape[0]
-
-    def neighbor_flat(self, qj: int) -> np.ndarray:
-        return self.neighbor_rows[self.neighbor_offsets[qj] : self.neighbor_offsets[qj + 1]]
+        return self.degrees.size
 
 
 def build_query_side(q: QueryGraph, cfg: SignatureConfig) -> QuerySideData:
     nq = q.vertex_count
-    # one extra keyword-free row: the zero signature that pads the table
-    padded = build_bit_vectors([*q.keywords, ()], cfg).reshape(nq + 1, -1)
+    # one extra keyword-free column: the zero signature that pads the slots
+    words = build_bit_vectors([*q.keywords, ()], cfg).reshape(nq + 1, -1).T
     degrees = [len(a) for a in q.adjacency]
     width = max(1, max(degrees, default=0))
-    total = sum(degrees)
-    picks = [ql for a in q.adjacency for ql in a]
-    picks += [ql for a in q.adjacency for ql in (*a, *[nq] * (width - len(a)))]
-    gathered = padded[picks]
-    flat = padded[:nq]
+    slots = np.array([[*a, *[nq] * (width - len(a))] for a in q.adjacency]).T
     return QuerySideData(
         cfg=cfg,
         query=q,
-        bv=flat.reshape(nq, cfg.group_count, cfg.words_per_group),
-        flat_bv=flat,
+        bits=np.ascontiguousarray(words[:, :nq]),
+        neighbor_bits=np.ascontiguousarray(words[:, slots].transpose(1, 0, 2)),
         degrees=np.array(degrees, dtype=np.int64),
-        neighbor_rows=gathered[:total],
-        neighbor_offsets=np.array([0, *itertools.accumulate(degrees)], dtype=np.int64),
-        neighbor_table=gathered[total:].reshape(nq, width, -1),
     )
 
 
-def keyword_prune_vertex(v_bv: np.ndarray, q_bv: np.ndarray) -> bool:
-    """True when some group of the query's bits is not covered by the vertex."""
-    return not containment_test(v_bv, q_bv)
+def keyword_contained(
+    neg: np.ndarray, ids: np.ndarray, q_bits: np.ndarray, qv: np.ndarray
+) -> np.ndarray:
+    """Pairs whose query vertex's bits all lie inside the entry's bits.
 
-
-def keyword_prune_node(node_agg_bv: np.ndarray, q_bv: np.ndarray) -> bool:
-    """True when not even the node's aggregated bits cover the query's."""
-    return not containment_test(node_agg_bv, q_bv)
-
-
-def lb_nd_basic(q_degree: int, v_degree: int) -> int:
-    """Degree shortfall bound: a vertex with too few neighbors must miss some."""
-    return max(0, q_degree - v_degree)
-
-
-def _covered_count(qside: QuerySideData, qj: int, nbv_flat: np.ndarray) -> int:
-    rows = qside.neighbor_flat(qj)
-    if rows.shape[0] == 0:
-        return 0
-    return int(np.all((rows & nbv_flat) == rows, axis=1).sum())
-
-
-def lb_nd_tight(qside: QuerySideData, qj: int, v_nbv: np.ndarray) -> int:
-    """Signature-coverage bound against one vertex's neighborhood bits."""
-    flat = v_nbv.reshape(-1)
-    return int(qside.degrees[qj]) - _covered_count(qside, qj, flat)
-
-
-def lb_nd_node(qside: QuerySideData, qj: int, node_agg_nbv: np.ndarray) -> int:
-    """Signature-coverage bound against a node's aggregated neighborhood bits.
-
-    The aggregate ORs every member's neighborhood bits, so each coverage
-    indicator here is at least the member's and the resulting bound is <= the
-    minimum member bound.
+    ``neg`` holds complemented signatures word-major, ``(words, entries)``,
+    and ``q_bits`` the query signatures as ``(words, nq)``: a pair passes
+    when no query bit meets a complemented (that is, missing) entry bit.
+    False is definitive non-containment; True can be a hash collision.
     """
-    flat = node_agg_nbv.reshape(-1)
-    return int(qside.degrees[qj]) - _covered_count(qside, qj, flat)
+    missing = neg.take(ids, axis=1) & q_bits.take(qv, axis=1)
+    return np.bitwise_or.reduce(missing, axis=0) == 0
 
 
-def nd_prune_vertex(lower_bound: int, sigma: int) -> bool:
-    """Discard when even a lower bound on the pair's difference exceeds sigma."""
-    return lower_bound > sigma
+def uncovered_neighbors(
+    nbv_neg: np.ndarray, ids: np.ndarray, q_nbr: np.ndarray, qv: np.ndarray
+) -> np.ndarray:
+    """Per pair, the number of query neighbors the entry's bits do not cover.
+
+    ``nbv_neg`` holds complemented neighborhood bits word-major and
+    ``q_nbr`` the padded neighbor signatures as ``(slot, words, nq)``. A
+    query neighbor is uncovered when one of its bits is missing from the
+    entry's neighborhood bits. The count lower-bounds the pair's neighbor
+    difference.
+    """
+    missing = q_nbr.take(qv, axis=2) & nbv_neg.take(ids, axis=1)
+    uncovered = np.bitwise_or.reduce(missing, axis=1) != 0
+    return np.add.reduce(uncovered, axis=0)
+
+
+def degree_shortfall(
+    degrees: np.ndarray, ids: np.ndarray, q_degrees: np.ndarray, qv: np.ndarray
+) -> np.ndarray:
+    """Per pair, the query vertex's degree minus the data vertex's.
+
+    A data vertex with fewer neighbors than its query vertex must leave at
+    least the shortfall unmatched, so this lower-bounds the pair's neighbor
+    difference; it is negative when the data vertex has degree to spare.
+    """
+    return q_degrees.take(qv) - degrees.take(ids)

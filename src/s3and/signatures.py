@@ -31,8 +31,6 @@ __all__ = [
     "hash_keyword",
     "vertex_bit_vector",
     "build_bit_vectors",
-    "containment_test",
-    "containment_mask",
     "unpack_bits",
     "build_aux",
 ]
@@ -131,29 +129,6 @@ def build_bit_vectors(
     return np.array(rows, dtype=np.uint64).reshape(
         len(rows), cfg.group_count, cfg.words_per_group
     )
-
-
-def containment_test(candidate: np.ndarray, query: np.ndarray) -> bool:
-    """Whether every query bit is set in the candidate (per group).
-
-    Safe precheck only: True can be a hash-collision artifact, False is
-    definitive non-containment.
-    """
-    if candidate.shape != query.shape:
-        raise ValueError(
-            f"signature shape mismatch: {candidate.shape} vs {query.shape}"
-        )
-    return bool(np.all((candidate & query) == query))
-
-
-def containment_mask(candidates: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`containment_test` over leading axes of ``candidates``."""
-    if candidates.shape[-query.ndim:] != query.shape:
-        raise ValueError(
-            f"signature shape mismatch: {candidates.shape} vs {query.shape}"
-        )
-    reduce_axes = tuple(range(candidates.ndim - query.ndim, candidates.ndim))
-    return np.all((candidates & query) == query, axis=reduce_axes)
 
 
 def unpack_bits(bv: np.ndarray, cfg: SignatureConfig) -> np.ndarray:

@@ -17,19 +17,17 @@ induced subgraph, so it matches its own source vertices at threshold 0.
 The baseline answers queries without the index: an exact keyword containment
 scan over all vertices per query vertex, then the same refinement as the
 engine. The benchmark harness sweeps one parameter at a time against the
-defaults and emits one CSV row per (parameter value, aggregate, sigma) cell;
-cells run on a thread pool capped by the ``S3AND_THREADS`` environment
-variable, and every cell derives its own RNG stream from (seed, cell index),
-so results do not depend on scheduling.
+defaults and emits one CSV row per (parameter value, aggregate, sigma) cell.
+Cells run one after another in one thread, so each query's wall time is
+measured without a competing cell; every cell derives its own RNG stream
+from (seed, cell index), so a cell's rows do not depend on the others.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -61,7 +59,6 @@ __all__ = [
     "run_benchmark",
     "write_bench_csv",
     "write_bench_json",
-    "worker_count",
 ]
 
 DESK_SCALE_LIMIT = 100_000
@@ -371,26 +368,9 @@ def _run_cell(cell: _Cell, cfg: BenchConfig) -> BenchRow:
     )
 
 
-def worker_count(cell_count: int) -> int:
-    """Thread pool size: cpu count, capped by S3AND_THREADS and the cell count."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("S3AND_THREADS")
-    if env is not None:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"S3AND_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(cap, cell_count))
-
-
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run every cell of the campaign; row order follows the sweep definition."""
-    cells = _build_cells(cfg)
-    workers = worker_count(len(cells))
-    if workers == 1:
-        return [_run_cell(cell, cfg) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: _run_cell(c, cfg), cells))
+    return [_run_cell(cell, cfg) for cell in _build_cells(cfg)]
 
 
 CSV_FIELDS = (

@@ -27,12 +27,16 @@ from s3and import (
     SignatureConfig,
     SyntheticSpec,
     WorkloadSpec,
+    build_bit_vectors,
     build_index,
+    degree_shortfall,
     generate_graph,
     generate_workload,
     is_answer,
+    keyword_contained,
     parse_graph,
     parse_query,
+    uncovered_neighbors,
 )
 from s3and.pruning import QuerySideData
 
@@ -271,6 +275,33 @@ def index_aggregates(index) -> tuple[np.ndarray, np.ndarray]:
     return (~index.agg_bv_neg.T).reshape(shape), (~index.agg_nbv_neg.T).reshape(shape)
 
 
+# --- the traversal's predicates, one pair at a time --------------------------
+
+
+def complemented(rows: np.ndarray) -> np.ndarray:
+    """Signature rows ``(n, groups, words)`` as the predicates read them.
+
+    That is complemented and word-major, ``(groups * words, n)``, the layout
+    of ``SubgraphIndex.bv_neg``.
+    """
+    return np.ascontiguousarray(~rows.reshape(len(rows), -1).T)
+
+
+def pair_contained(neg: np.ndarray, entry: int, qside: QuerySideData, qj: int) -> bool:
+    """:func:`keyword_contained` for the one pair (``entry``, ``qj``)."""
+    return bool(keyword_contained(neg, [entry], qside.bits, [qj])[0])
+
+
+def pair_uncovered(nbv_neg: np.ndarray, entry: int, qside: QuerySideData, qj: int) -> int:
+    """:func:`uncovered_neighbors` for the one pair (``entry``, ``qj``)."""
+    return int(uncovered_neighbors(nbv_neg, [entry], qside.neighbor_bits, [qj])[0])
+
+
+def pair_shortfall(degrees: np.ndarray, v: int, qside: QuerySideData, qj: int) -> int:
+    """:func:`degree_shortfall` for the one pair (``v``, ``qj``)."""
+    return int(degree_shortfall(degrees, [v], qside.degrees, [qj])[0])
+
+
 def split_capacity(cfg: IndexConfig, size: int) -> int:
     """The most members a child of a ``size``-member split may hold."""
     return min(math.ceil((1 + cfg.gamma) * size / cfg.fanout), size - 1)
@@ -318,26 +349,40 @@ def audit_structure(index, g) -> None:
 # node's aggregates from the node's descendant members itself.
 
 
+def _query_rows(qside: QuerySideData) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The query's own signature rows, its neighbors' rows and its degrees.
+
+    Built from the query graph itself, not from ``qside``'s batch layout,
+    so the reference shares no query-side data with the engine.
+    """
+    q = qside.query
+    bv = build_bit_vectors(q.keywords, qside.cfg).reshape(q.vertex_count, -1)
+    nbr_rows = [bv[list(a)] for a in q.adjacency]
+    degrees = np.array([len(a) for a in q.adjacency], dtype=np.int64)
+    return bv, nbr_rows, degrees
+
+
 def _node_live(
     agg_bv: np.ndarray,
     agg_nbv: np.ndarray,
-    qside: QuerySideData,
+    query_rows: tuple[np.ndarray, list[np.ndarray], np.ndarray],
     live: np.ndarray,
     sigma: int,
     ablation: Ablation,
 ) -> np.ndarray:
     """Subset of ``live`` query vertices the node's aggregates cannot rule out."""
-    qv = qside.flat_bv[live]
+    q_bv, nbr_rows, q_deg = query_rows
+    qv = q_bv[live]
     ok = np.all((agg_bv[None, :] & qv) == qv, axis=1)
     if ablation.lb_tight and ok.any():
         for pos, qj in enumerate(live):
             if not ok[pos]:
                 continue
-            rows = qside.neighbor_flat(int(qj))
+            rows = nbr_rows[qj]
             if rows.shape[0] == 0:
                 continue
             covered = int(np.all((rows & agg_nbv[None, :]) == rows, axis=1).sum())
-            if int(qside.degrees[qj]) - covered > sigma:
+            if int(q_deg[qj]) - covered > sigma:
                 ok[pos] = False
     return live[ok]
 
@@ -346,30 +391,31 @@ def _leaf_survivors(
     members_bv: np.ndarray,
     members_nbv: np.ndarray,
     members_deg: np.ndarray,
-    qside: QuerySideData,
+    query_rows: tuple[np.ndarray, list[np.ndarray], np.ndarray],
     live: np.ndarray,
     sigma: int,
     ablation: Ablation,
 ) -> np.ndarray:
     """Boolean matrix (member, live query vertex) of pairs surviving all checks."""
-    qv = qside.flat_bv[live]
+    q_bv, nbr_rows, q_deg = query_rows
+    qv = q_bv[live]
     keep = np.all(
         (members_bv[:, None, :] & qv[None, :, :]) == qv[None, :, :], axis=2
     )
     if ablation.lb_basic:
-        keep &= (qside.degrees[live][None, :] - members_deg[:, None]) <= sigma
+        keep &= (q_deg[live][None, :] - members_deg[:, None]) <= sigma
     if ablation.lb_tight:
         for pos, qj in enumerate(live):
             if not keep[:, pos].any():
                 continue
-            rows = qside.neighbor_flat(int(qj))
+            rows = nbr_rows[qj]
             if rows.shape[0] == 0:
                 continue
             cov = np.all(
                 (members_nbv[:, None, :] & rows[None, :, :]) == rows[None, :, :],
                 axis=2,
             )
-            lb = int(qside.degrees[qj]) - cov.sum(axis=1)
+            lb = int(q_deg[qj]) - cov.sum(axis=1)
             keep[:, pos] &= lb <= sigma
     return keep
 
@@ -388,7 +434,8 @@ def reference_candidates(
     leaves. It shares no traversal code with the engine, so equal
     candidates and visit counts check the vectorized traversal.
     """
-    nq = qside.vertex_count
+    query_rows = _query_rows(qside)
+    nq = len(query_rows[1])
     flat_bv = index.aux.flat_bv()
     flat_nbv = index.aux.flat_nbv()
     children, members = tree_walk(index)
@@ -404,7 +451,7 @@ def reference_candidates(
                 flat_bv[idx],
                 flat_nbv[idx],
                 degrees[idx],
-                qside,
+                query_rows,
                 live,
                 sigma,
                 ablation,
@@ -419,7 +466,7 @@ def reference_candidates(
                 child_live = _node_live(
                     np.bitwise_or.reduce(flat_bv[idx], axis=0),
                     np.bitwise_or.reduce(flat_nbv[idx], axis=0),
-                    qside,
+                    query_rows,
                     live,
                     sigma,
                     ablation,

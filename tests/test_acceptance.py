@@ -31,7 +31,6 @@ from s3and import (
     SyntheticSpec,
     WorkloadSpec,
     aggregated_neighbor_difference,
-    build_aux,
     build_index,
     build_query_side,
     collect_candidates,
@@ -40,15 +39,9 @@ from s3and import (
     generate_workload,
     format_answers,
     keyword_feasible,
-    keyword_prune_node,
-    keyword_prune_vertex,
-    lb_nd_basic,
-    lb_nd_node,
-    lb_nd_tight,
     load_index,
     make_query_plan,
     neighbor_difference,
-    nd_prune_vertex,
     oracle_search,
     refine,
     run_baseline,
@@ -60,8 +53,10 @@ from tests.conftest import (
     TEAM_MAPPING,
     TEAM_NDS,
     audit_structure,
-    index_aggregates,
     mapping_set,
+    pair_contained,
+    pair_shortfall,
+    pair_uncovered,
     reference_candidates,
     tree_walk,
 )
@@ -226,8 +221,9 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
     checked_mappings = 0
     for i, inst in enumerate(pool):
         g, q = inst.g, inst.q
-        aux = build_aux(g, SIG)
+        index = pool_indexes[i]
         side = build_query_side(q, SIG)
+        degrees = g.degree_vector
         # complete per-pair check: no valid mapping can push more of q_j's
         # neighbors into N(v_i) than the best keyword-feasible matching, so
         # deg - matching lower-bounds ND under every valid mapping and both
@@ -242,8 +238,8 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                     for ql in nbrs_q
                 ]
                 floor = len(nbrs_q) - _max_matching(left, len(nbrs_v))
-                assert lb_nd_basic(len(nbrs_q), len(nbrs_v)) <= floor
-                assert lb_nd_tight(side, qj, aux[vi].nbv) <= floor
+                assert pair_shortfall(degrees, vi, side, qj) <= floor
+                assert pair_uncovered(index.nbv_neg, vi, side, qj) <= floor
                 checked_pairs += 1
         # definition-level check on instances cheap enough to enumerate
         if inst.product <= EXHAUSTIVE_PRODUCT_BUDGET:
@@ -253,16 +249,14 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                 checked_mappings += 1
                 for qj, vi in enumerate(combo):
                     nd = neighbor_difference(g, q, combo, qj)
-                    assert lb_nd_basic(len(q.adjacency[qj]), len(g.adjacency[vi])) <= nd
-                    assert lb_nd_tight(side, qj, aux[vi].nbv) <= nd
+                    assert pair_shortfall(degrees, vi, side, qj) <= nd
+                    assert pair_uncovered(index.nbv_neg, vi, side, qj) <= nd
         # node bound never exceeds any member's tight bound
-        _, node_members = tree_walk(pool_indexes[i])
-        _, agg_nbv = index_aggregates(pool_indexes[i])
-        for node, members in enumerate(node_members):
+        for node, members in enumerate(tree_walk(index)[1]):
             for qj in range(q.vertex_count):
-                node_lb = lb_nd_node(side, qj, agg_nbv[node])
+                node_lb = pair_uncovered(index.agg_nbv_neg, node, side, qj)
                 assert node_lb <= min(
-                    lb_nd_tight(side, qj, aux[vi].nbv) for vi in members
+                    pair_uncovered(index.nbv_neg, vi, side, qj) for vi in members
                 )
     assert checked_pairs > 0 and checked_mappings > 0
     print(
@@ -275,26 +269,24 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
     fired = 0
     for i, inst in enumerate(pool):
         g, q, sigma = inst.g, inst.q, inst.sigma
-        aux = build_aux(g, SIG)
-        side = build_query_side(q, SIG)
         index = pool_indexes[i]
+        side = build_query_side(q, SIG)
         node_members = [set(members) for members in tree_walk(index)[1]]
-        agg_bv, agg_nbv = index_aggregates(index)
         for aggregate in (MAX, SUM):
             for ans in pool_answers[i, aggregate]:
                 for qj, vi in enumerate(ans.mapping):
-                    if keyword_prune_vertex(aux[vi].bv, side.bv[qj]):
+                    if not pair_contained(index.bv_neg, vi, side, qj):
                         fired += 1
-                    deg_lb = lb_nd_basic(len(q.adjacency[qj]), len(g.adjacency[vi]))
-                    tight_lb = lb_nd_tight(side, qj, aux[vi].nbv)
-                    if nd_prune_vertex(deg_lb, sigma) or nd_prune_vertex(tight_lb, sigma):
+                    deg_lb = pair_shortfall(g.degree_vector, vi, side, qj)
+                    tight_lb = pair_uncovered(index.nbv_neg, vi, side, qj)
+                    if deg_lb > sigma or tight_lb > sigma:
                         fired += 1
                     for node, members in enumerate(node_members):
                         if vi not in members:
                             continue
-                        if keyword_prune_node(agg_bv[node], side.bv[qj]):
+                        if not pair_contained(index.agg_bv_neg, node, side, qj):
                             fired += 1
-                        if lb_nd_node(side, qj, agg_nbv[node]) > sigma:
+                        if pair_uncovered(index.agg_nbv_neg, node, side, qj) > sigma:
                             fired += 1
     assert fired == 0
     print("\nACCEPTANCE 4 pruning soundness (zero false prunes): PASS")

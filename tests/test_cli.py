@@ -124,8 +124,7 @@ def test_baseline_stats_json(team_files, tmp_path, capsys):
     assert json.loads(stats_path.read_text())["support_killed"] == 0
 
 
-def test_bench_writes_csv_and_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("S3AND_THREADS", "2")
+def test_bench_writes_csv_and_json(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     json_path = tmp_path / "bench.json"
     out = run(

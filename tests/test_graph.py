@@ -126,6 +126,12 @@ def test_empty_keyword_vertex_gets_dummy():
     assert g.keywords[0] == (dummy_id,)
 
 
+def test_query_empty_keyword_vertex_gets_dummy(team_graph):
+    q = parse_query("t 2 1\nv 0\nv 1 ml\ne 0 1\n", team_graph)
+    assert q.keyword_names[q.keywords[0][0]] == DUMMY_KEYWORD
+    assert q.keyword_names[q.keywords[1][0]] == "ml"
+
+
 def test_degree_helpers(team_graph):
     assert team_graph.degree(3) == 4
     assert list(team_graph.degree_vector) == [
@@ -133,22 +139,34 @@ def test_degree_helpers(team_graph):
     ]
 
 
+PARSE_ERRORS = [
+    ("t 2 1\nv 0 a\nv 1 a\ne 0 0\n", "u < v"),
+    ("t 2 2\nv 0 a\nv 1 a\ne 0 1\ne 0 1\n", "duplicate"),
+    ("t 2 1\nv 0 a\nv 1 a\ne 0 5\n", "unknown vertex"),
+    ("t 2 1\nv 0 a\nv 1 a\ne 1 0\n", "u < v"),
+    ("t 2 0\nv 0 a\nv 1 a\nx 1 2\n", "record"),
+    ("t 2 0\nv 0 a\n", "header declares"),
+    ("t 2 1\nv 0 a\nv 1 a\n", "header declares 1 edges"),
+    ("t 2 0\nv 0 a\nv 2 a\n", "outside [0, 2)"),
+    ("t two 0\n", "header"),
+    ("v 0 a\n", "header"),
+]
+
+
+def _parse_as_query(text: str):
+    return parse_query(text, parse_graph(TEAM_GRAPH_TEXT))
+
+
+# every case runs through both parsers; the data graph cases are named by
+# the case alone, the query cases get a "query-" prefix
 @pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("t 2 1\nv 0 a\nv 1 a\ne 0 0\n", "u < v"),
-        ("t 2 2\nv 0 a\nv 1 a\ne 0 1\ne 0 1\n", "duplicate"),
-        ("t 2 1\nv 0 a\nv 1 a\ne 0 5\n", "unknown vertex"),
-        ("t 2 1\nv 0 a\nv 1 a\ne 1 0\n", "u < v"),
-        ("t 2 0\nv 0 a\nv 1 a\nx 1 2\n", "record"),
-        ("t 2 0\nv 0 a\n", "header declares"),
-        ("t two 0\n", "header"),
-        ("v 0 a\n", "header"),
-    ],
+    "parse, text, fragment",
+    [pytest.param(parse_graph, t, f, id=f"{t}-{f}") for t, f in PARSE_ERRORS]
+    + [pytest.param(_parse_as_query, t, f, id=f"query-{t}-{f}") for t, f in PARSE_ERRORS],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(parse, text, fragment):
     with pytest.raises((GraphParseError, GraphValidationError)) as err:
-        parse_graph(text)
+        parse(text)
     assert fragment in str(err.value).lower()
 
 

@@ -549,26 +549,6 @@ def test_load_rejects_malformed_tree_shape(saved_index, tmp_path):
             load_index(bad)
 
 
-def test_load_warns_on_config_mismatch_and_keeps_file(saved_index):
-    _, path = saved_index
-    with pytest.warns(UserWarning, match="signature config"):
-        loaded = load_index(path, requested_signature=SignatureConfig(group_count=3))
-    assert loaded.sig_config.group_count == 5
-    with pytest.warns(UserWarning, match="index config"):
-        loaded = load_index(path, requested_index_config=IndexConfig(fanout=7))
-    assert loaded.index_config.fanout == 4
-
-
-def test_load_silent_on_matching_request(saved_index, recwarn):
-    index, path = saved_index
-    load_index(
-        path,
-        requested_signature=index.sig_config,
-        requested_index_config=index.index_config,
-    )
-    assert len(recwarn) == 0
-
-
 def test_load_rejects_truncation(saved_index, tmp_path):
     _, path = saved_index
     data = path.read_bytes()

@@ -1,7 +1,9 @@
 """Lower bounds and pruning predicates.
 
 Soundness is the only hard requirement: a predicate may never discard a pair
-that belongs to some answer. Several tests enumerate every valid mapping on
+that belongs to some answer. The tests call the batch predicates the
+traversal runs, one (entry, query vertex) pair at a time, over the index's
+own complemented arrays. Several tests enumerate every valid mapping on
 small graphs and check each bound sits at or below the true difference.
 """
 
@@ -17,21 +19,21 @@ from s3and import (
     build_aux,
     build_index,
     build_query_side,
+    degree_shortfall,
+    keyword_contained,
     keyword_feasible,
-    keyword_prune_node,
-    keyword_prune_vertex,
-    lb_nd_basic,
-    lb_nd_node,
-    lb_nd_tight,
     make_graph,
     neighbor_difference,
-    nd_prune_vertex,
-    parse_graph,
-    parse_query,
     vertex_bit_vector,
 )
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
-from tests.conftest import index_aggregates, tree_walk
+from tests.conftest import (
+    complemented,
+    pair_contained,
+    pair_shortfall,
+    pair_uncovered,
+    tree_walk,
+)
 
 CFG = SignatureConfig()
 
@@ -46,68 +48,72 @@ def team_aux(team_graph):
     return build_aux(team_graph, CFG)
 
 
-def test_lb_nd_basic_formula():
-    assert lb_nd_basic(3, 1) == 2
-    assert lb_nd_basic(2, 2) == 0
-    assert lb_nd_basic(1, 4) == 0  # clamped at zero
+def test_degree_shortfall_formula():
+    degrees = np.array([1, 2, 4])
+    q_degrees = np.array([3, 2, 1])
+    ids = np.array([0, 1, 2])
+    # query degree minus vertex degree, negative when the vertex has spare
+    assert degree_shortfall(degrees, ids, q_degrees, ids).tolist() == [2, 0, -3]
+    # pairs are (ids[i], qv[i]): vertex 0 (degree 1) against query vertex 2
+    assert degree_shortfall(degrees, [0, 2], q_degrees, [2, 0]).tolist() == [0, -1]
 
 
 def test_query_side_layout(team_side, team_query):
     assert team_side.vertex_count == 5
     assert list(team_side.degrees) == [2, 2, 3, 3, 2]
-    assert team_side.neighbor_offsets[-1] == sum(team_side.degrees)
-    # row slice for q2 holds exactly its neighbors' signatures
-    rows = team_side.neighbor_flat(2)
-    assert rows.shape[0] == 3
+    words = CFG.group_count * CFG.words_per_group
+    assert team_side.bits.shape == (words, 5)
+    assert team_side.neighbor_bits.shape == (3, words, 5)
+    own = build_aux(team_query, CFG).flat_bv()
+    assert np.array_equal(team_side.bits, own.T)
+    for qj, nbrs in enumerate(team_query.adjacency):
+        # slot s of qj holds its s-th neighbor's signature, then zero padding
+        slots = team_side.neighbor_bits[:, :, qj]
+        assert np.array_equal(slots[: len(nbrs)], own[list(nbrs)])
+        assert not slots[len(nbrs) :].any()
 
 
-def test_lb_nd_tight_fixture_golds(team_side, team_aux):
+def test_uncovered_neighbors_fixture_golds(team_side, team_index):
     # v0 ("ml", neighbors backend/frontend/design) covers q0's backend
     # neighbor but not the systems one
-    assert lb_nd_tight(team_side, 0, team_aux[0].nbv) == 1
+    assert pair_uncovered(team_index.nbv_neg, 0, team_side, 0) == 1
     # v11 ("design", sole neighbor ml) covers neither of q0's neighbors
-    assert lb_nd_tight(team_side, 0, team_aux[11].nbv) == 2
+    assert pair_uncovered(team_index.nbv_neg, 11, team_side, 0) == 2
 
 
-def test_lb_nd_tight_zero_when_all_covered(team_side, team_aux):
+def test_uncovered_neighbors_zero_when_all_covered(team_side, team_index):
     # v3's neighborhood spans ml, backend, systems, data: q3's three
     # neighbors (backend, systems, data) are all covered
-    assert lb_nd_tight(team_side, 3, team_aux[3].nbv) == 0
+    assert pair_uncovered(team_index.nbv_neg, 3, team_side, 3) == 0
 
 
-def test_nd_prune_vertex_threshold():
-    assert nd_prune_vertex(2, 1)
-    assert not nd_prune_vertex(2, 2)
-    assert not nd_prune_vertex(0, 0)
-
-
-def test_keyword_prune_fires_on_disjoint_labels(team_side, team_aux):
+def test_keyword_contained_fails_on_disjoint_labels(team_side, team_index):
     # sales (v6) and legal (v9) share no keyword with any query vertex
     for vi in (6, 9):
         for qj in range(5):
-            assert keyword_prune_vertex(team_aux[vi].bv, team_side.bv[qj])
+            assert not pair_contained(team_index.bv_neg, vi, team_side, qj)
 
 
-def test_keyword_prune_spares_true_matches(team_side, team_aux):
+def test_keyword_contained_holds_for_true_matches(team_side, team_index):
     for qj, vi in enumerate((0, 1, 2, 3, 4)):
-        assert not keyword_prune_vertex(team_aux[vi].bv, team_side.bv[qj])
+        assert pair_contained(team_index.bv_neg, vi, team_side, qj)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 30), min_size=0, max_size=6), st.data())
-def test_keyword_prune_never_fires_on_subset(big, data):
+def test_keyword_contained_holds_for_subsets(big, data):
     sub = data.draw(st.sets(st.sampled_from(sorted(big)), max_size=len(big))) if big else set()
-    v_bv = vertex_bit_vector(sorted(big), CFG)
-    q_bv = vertex_bit_vector(sorted(sub), CFG)
-    assert not keyword_prune_vertex(v_bv, q_bv)
+    v_neg = complemented(vertex_bit_vector(sorted(big), CFG)[None])
+    q_bits = vertex_bit_vector(sorted(sub), CFG).reshape(-1, 1)
+    assert keyword_contained(v_neg, [0], q_bits, [0])[0]
 
 
-def test_empty_query_keywords_never_pruned(team_aux):
+def test_empty_query_keywords_never_pruned(team_index):
     q = make_graph(2, [(0, 1)], [[], [1]], ["a", "b"])
     side = build_query_side(q, CFG)
-    assert not side.bv[0].any()
+    assert not side.bits[:, 0].any()
     for vi in range(12):
-        assert not keyword_prune_vertex(team_aux[vi].bv, side.bv[0])
+        assert pair_contained(team_index.bv_neg, vi, side, 0)
 
 
 def _small_instances():
@@ -133,9 +139,9 @@ def _small_instances():
 
 
 def test_bounds_below_true_difference_exhaustively():
-    """lb_basic and lb_tight never exceed ND for any valid mapping."""
+    """The degree and tight bounds never exceed ND for any valid mapping."""
     for g, q in _small_instances():
-        aux = build_aux(g, CFG)
+        nbv_neg = complemented(build_aux(g, CFG).nbv)
         side = build_query_side(q, CFG)
         nq = q.vertex_count
         feasible = [
@@ -149,49 +155,39 @@ def test_bounds_below_true_difference_exhaustively():
             for qj in range(nq):
                 nd = neighbor_difference(g, q, mapping, qj)
                 vi = mapping[qj]
-                assert lb_nd_basic(int(side.degrees[qj]), len(g.adjacency[vi])) <= nd
-                assert lb_nd_tight(side, qj, aux[vi].nbv) <= nd
+                assert pair_shortfall(g.degree_vector, vi, side, qj) <= nd
+                assert pair_uncovered(nbv_neg, vi, side, qj) <= nd
 
 
-def test_node_keyword_prune_two_member_gold(team_side, team_aux):
+def test_node_keyword_check_two_member_gold(team_side, team_aux):
     # aggregate over the sales and legal vertices still covers no query label
-    agg = team_aux[6].bv | team_aux[9].bv
+    agg_neg = complemented((team_aux[6].bv | team_aux[9].bv)[None])
     for qj in range(5):
-        assert keyword_prune_node(agg, team_side.bv[qj])
+        assert not pair_contained(agg_neg, 0, team_side, qj)
 
 
-def test_node_prune_implies_every_member_pruned(team_side, team_aux):
+def test_node_prune_implies_every_member_pruned(team_side, team_aux, team_index):
     rng = np.random.default_rng(5)
     for _ in range(40):
         members = rng.choice(12, size=rng.integers(1, 5), replace=False)
-        agg = np.zeros_like(team_aux[0].bv)
-        for vi in members:
-            agg |= team_aux[int(vi)].bv
+        agg_neg = complemented(np.bitwise_or.reduce(team_aux.bv[members], axis=0)[None])
         for qj in range(5):
-            if keyword_prune_node(agg, team_side.bv[qj]):
+            if not pair_contained(agg_neg, 0, team_side, qj):
                 for vi in members:
-                    assert keyword_prune_vertex(team_aux[int(vi)].bv, team_side.bv[qj])
+                    assert not pair_contained(team_index.bv_neg, int(vi), team_side, qj)
 
 
-def test_lb_nd_node_bounds_member_minimum(team_side, team_aux):
+def test_node_uncovered_bounds_member_minimum(team_side, team_aux, team_index):
     rng = np.random.default_rng(6)
     for _ in range(40):
         members = rng.choice(12, size=rng.integers(1, 6), replace=False)
-        agg = np.zeros_like(team_aux[0].nbv)
-        for vi in members:
-            agg |= team_aux[int(vi)].nbv
+        agg_neg = complemented(np.bitwise_or.reduce(team_aux.nbv[members], axis=0)[None])
         for qj in range(5):
-            node_lb = lb_nd_node(team_side, qj, agg)
-            member_min = min(lb_nd_tight(team_side, qj, team_aux[int(vi)].nbv) for vi in members)
-            assert node_lb <= member_min
-
-
-def test_lb_nd_node_equals_tight_for_singleton(team_side, team_aux):
-    for vi in range(12):
-        for qj in range(5):
-            assert lb_nd_node(team_side, qj, team_aux[vi].nbv) == lb_nd_tight(
-                team_side, qj, team_aux[vi].nbv
+            node_lb = pair_uncovered(agg_neg, 0, team_side, qj)
+            member_min = min(
+                pair_uncovered(team_index.nbv_neg, int(vi), team_side, qj) for vi in members
             )
+            assert node_lb <= member_min
 
 
 def test_index_node_bounds_hold_on_random_build():
@@ -207,11 +203,9 @@ def test_index_node_bounds_hold_on_random_build():
     index = build_index(g, sig_config=CFG)
     q = generate_workload(g, WorkloadSpec(query_count=1, query_size=4, seed=11))[0]
     side = build_query_side(q, CFG)
-    aux = build_aux(g, CFG)
     _, members = tree_walk(index)
-    _, agg_nbv = index_aggregates(index)
     for node, descendants in enumerate(members):
         for qj in range(q.vertex_count):
-            node_lb = lb_nd_node(side, qj, agg_nbv[node])
-            member_min = min(lb_nd_tight(side, qj, aux[vi].nbv) for vi in descendants)
+            node_lb = pair_uncovered(index.agg_nbv_neg, node, side, qj)
+            member_min = min(pair_uncovered(index.nbv_neg, vi, side, qj) for vi in descendants)
             assert node_lb <= member_min

@@ -9,15 +9,14 @@ from s3and import (
     AuxData,
     SignatureConfig,
     build_aux,
-    build_bit_vectors,
-    containment_mask,
-    containment_test,
     hash_keyword,
+    keyword_contained,
     keyword_group,
     make_graph,
     vertex_bit_vector,
 )
 from s3and.signatures import unpack_bits
+from tests.conftest import complemented
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -85,11 +84,17 @@ def test_bit_vector_is_or_of_singletons():
     assert np.array_equal(combined, ored)
 
 
+def contains(candidate: np.ndarray, query: np.ndarray) -> bool:
+    """:func:`keyword_contained` for one candidate and one query signature."""
+    neg = complemented(candidate[None])
+    return bool(keyword_contained(neg, [0], query.reshape(-1, 1), [0])[0])
+
+
 def test_nbv_covers_neighbors(team_graph):
     cfg = SignatureConfig()
     aux = build_aux(team_graph, cfg)
     for nb in team_graph.adjacency[0]:  # vertices 1, 3, 11
-        assert containment_test(aux[0].nbv, aux[nb].bv)
+        assert contains(aux[0].nbv, aux[nb].bv)
 
 
 def test_isolated_vertex_aux():
@@ -104,7 +109,7 @@ def test_containment_zero_query_always_true():
     rng = np.random.default_rng(0)
     for _ in range(5):
         cand = rng.integers(0, 2**63, q.shape).astype(np.uint64)
-        assert containment_test(cand, q)
+        assert contains(cand, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,26 +122,14 @@ def test_containment_has_no_false_negatives(big, data):
     cfg = SignatureConfig(group_count=3, bits_per_group=16)
     cand = vertex_bit_vector(sorted(big), cfg)
     query = vertex_bit_vector(sorted(sub), cfg)
-    assert containment_test(cand, query)
+    assert contains(cand, query)
 
 
 def test_containment_detects_clear_miss():
     cfg = SignatureConfig()
     cand = vertex_bit_vector([0], cfg)
     query = vertex_bit_vector([7], cfg)  # different group under m=5
-    assert not containment_test(cand, query)
-
-
-def test_containment_mask_matches_scalar():
-    cfg = SignatureConfig(group_count=2, bits_per_group=8)
-    rng = np.random.default_rng(9)
-    sets = [sorted(set(map(int, rng.integers(0, 12, rng.integers(0, 5))))) for _ in range(30)]
-    stack = build_bit_vectors(sets, cfg)
-    query = vertex_bit_vector([1, 4], cfg)
-    mask = containment_mask(stack, query)
-    assert mask.shape == (30,)
-    for i in range(30):
-        assert mask[i] == containment_test(stack[i], query)
+    assert not contains(cand, query)
 
 
 def test_unpack_bits_matches_manual_extraction():

@@ -21,7 +21,6 @@ from s3and import (
     run_baseline,
     run_benchmark,
     run_query,
-    worker_count,
     write_bench_csv,
     write_bench_json,
 )
@@ -250,8 +249,7 @@ def test_bench_config_rejects_unknown_sweep():
         tiny_bench(sweeps=("sigma_max", "temperature"))
 
 
-def test_run_benchmark_rows(monkeypatch):
-    monkeypatch.setenv("S3AND_THREADS", "1")
+def test_run_benchmark_rows():
     rows = run_benchmark(tiny_bench())
     assert [r.param_value for r in rows] == list(DEFAULT_SWEEPS["sigma_max"])
     for row in rows:
@@ -263,8 +261,7 @@ def test_run_benchmark_rows(monkeypatch):
         assert row.answers >= 0
 
 
-def test_run_benchmark_deterministic_modulo_timing(monkeypatch):
-    monkeypatch.setenv("S3AND_THREADS", "2")
+def test_run_benchmark_deterministic_modulo_timing():
     cfg = tiny_bench(sweeps=("query_size",))
     key = lambda rows: [
         (r.param_name, r.param_value, r.agg, r.sigma, r.pruning_power, r.answers)
@@ -273,8 +270,7 @@ def test_run_benchmark_deterministic_modulo_timing(monkeypatch):
     assert key(run_benchmark(cfg)) == key(run_benchmark(cfg))
 
 
-def test_bench_csv_format(monkeypatch):
-    monkeypatch.setenv("S3AND_THREADS", "1")
+def test_bench_csv_format():
     rows = run_benchmark(tiny_bench())
     buf = io.StringIO()
     write_bench_csv(rows, buf)
@@ -284,10 +280,9 @@ def test_bench_csv_format(monkeypatch):
     assert lines[1].startswith("sigma_max,1,max,1,")
 
 
-def test_bench_json_report(tmp_path, monkeypatch):
+def test_bench_json_report(tmp_path):
     import json
 
-    monkeypatch.setenv("S3AND_THREADS", "1")
     cfg = tiny_bench()
     rows = run_benchmark(cfg)
     out = tmp_path / "report.json"
@@ -308,17 +303,3 @@ def test_bench_json_report(tmp_path, monkeypatch):
     assert doc["config"]["ablation"] == "ks+lb+tight"
     assert len(doc["rows"]) == len(rows)
     assert set(doc["rows"][0]) == set(CSV_FIELDS)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("S3AND_THREADS", raising=False)
-    assert worker_count(1) == 1
-    assert 1 <= worker_count(64) <= 64
-    monkeypatch.setenv("S3AND_THREADS", "2")
-    assert worker_count(64) <= 2
-    assert worker_count(1) == 1
-    monkeypatch.setenv("S3AND_THREADS", "0")
-    assert worker_count(64) == 1  # clamped up to one worker
-    monkeypatch.setenv("S3AND_THREADS", "many")
-    with pytest.raises(ValueError, match="S3AND_THREADS"):
-        worker_count(64)
