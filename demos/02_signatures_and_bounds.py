@@ -77,9 +77,9 @@ aux = index.aux
 side = build_query_side(q, cfg)
 vertices = np.arange(g.vertex_count)
 
-print(f"signature shape per vertex: {aux[0].bv.shape} packed 64-bit words")
-print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux[0].bv.reshape(-1)]}")
-print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux[0].nbv.reshape(-1)]}")
+print(f"signature shape per vertex: {aux.bv[0].shape} packed 64-bit words")
+print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux.bv[0].reshape(-1)]}")
+print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux.nbv[0].reshape(-1)]}")
 
 # Keyword containment: sales and legal share no keyword with any query
 # vertex, so the bit test alone removes them from every candidate set.

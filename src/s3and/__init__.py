@@ -42,7 +42,6 @@ from .semantics import (
 from .signatures import (
     AuxData,
     SignatureConfig,
-    VertexAux,
     build_aux,
     build_bit_vectors,
     hash_keyword,
@@ -124,7 +123,6 @@ __all__ = [
     "format_answers",
     # signatures
     "SignatureConfig",
-    "VertexAux",
     "AuxData",
     "keyword_group",
     "hash_keyword",

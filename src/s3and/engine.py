@@ -26,7 +26,12 @@ partial aggregate already exceeds ``sigma`` is cut off, and for each query
 vertex only the local pool is tried: the candidates adjacent to as many of
 the earlier-mapped neighbors' images as the remaining budget requires. Both
 skip only mappings that could never score within ``sigma``, so neither
-loses an answer.
+loses an answer. Connectivity narrows the pool too, in the manner of the
+per-query candidate spaces of CFL-Match and DAF: a candidate adjacent
+neither to a mapped image nor to any candidate of a later plan position
+would stay isolated, and the last query vertex must touch every connected
+component of the partial image. So every complete mapping is connected
+and within ``sigma`` before :func:`is_answer` checks it.
 
 Traversal keeps, per tree node, the subset of query vertices the node is
 still live for. A child inherits its parent's live set minus the query
@@ -336,10 +341,10 @@ def refine(
     an earlier-mapped query neighbor whose image is not adjacent to ``v``.
     A count only grows as the mapping is extended, so a partial mapping
     whose partial aggregate exceeds ``sigma`` can never be completed into
-    an answer, and it is cut off before the look-ahead and the recursion.
-    Under MAX that means more than ``sigma`` bumps, or a bump to a neighbor
-    already at ``sigma``; under SUM, a running total plus two per bump
-    above ``sigma``.
+    an answer, and it is cut off before the recursion. Under MAX that
+    means more than ``sigma`` bumps, or a bump to a neighbor already at
+    ``sigma``; under SUM, a running total plus two per bump above
+    ``sigma``.
 
     The same budget narrows the candidates tried for ``plan[dep]``, the
     local pool. ``v`` must be adjacent to the image of every neighbor that
@@ -350,35 +355,77 @@ def refine(
     one of their images, so only the union of their neighborhoods is tried.
     Either way every vertex skipped is one the cutoff would reject.
 
-    The look-ahead skips a candidate that is adjacent neither to an already
-    mapped vertex nor to any candidate of a later plan position: such a
-    vertex would end up isolated in the induced image, so skipping it can
-    never lose an answer. Single-vertex queries skip the look-ahead since a
-    lone vertex is trivially connected. Every complete mapping still has to
-    pass :func:`is_answer`, which also checks that the image is connected.
+    Connectivity narrows the pool further. When the budget would allow
+    every candidate, only the candidates adjacent to a mapped image and
+    those in ``reach[dep]`` are tried; any other vertex would stay isolated
+    in the induced image. ``reach[dep]`` holds the candidates of
+    ``plan[dep]`` adjacent to some candidate of a later plan position. It
+    is the whole pool at depth 0, and is built the first time a depth has
+    a candidate not adjacent to the image. At the last plan position ``v``
+    must be adjacent to every connected component of the partial image, or
+    the full image is disconnected; the components are found by a search
+    over the at most ``nq - 1`` mapped vertices, which is skipped when the
+    plan prefix is connected in the query and no query edge in it is
+    missing. With these rules every complete mapping is connected and
+    within ``sigma``, and each still has to pass :func:`is_answer`.
+    Candidates may come in any order, as lists or arrays; answers come out
+    in :func:`sort_answers` order.
     """
     nq = q.vertex_count
-    cand_lists = [sorted(np.asarray(c, dtype=np.int64).tolist()) for c in candidates]
-    cand_sets = [set(c) for c in cand_lists]
+    # the support filter hands over lists; the answer order comes from
+    # sort_answers, so the candidate order does not matter
+    cand_lists = [
+        c if type(c) is list else np.asarray(c, dtype=np.int64).tolist()
+        for c in candidates
+    ]
     if any(not c for c in cand_lists):
         return []
+    cand_sets = [set(c) for c in cand_lists]
     adjacency = g.adjacency_sets
     is_max = aggregate is AggregateKind.MAX
+    last = nq - 1
     depth_of = {qj: dep for dep, qj in enumerate(plan)}
     # the query neighbors of plan[dep] that the plan maps before it
     earlier_of = [
         [ql for ql in q.adjacency[qj] if depth_of[ql] < dep]
         for dep, qj in enumerate(plan)
     ]
-    # every candidate of a plan position after dep
-    later_of: list[set[int]] = [set()]
-    for qj in plan[:0:-1]:
-        later_of.append(later_of[-1] | cand_sets[qj])
-    later_of.reverse()
+    # every plan prefix is connected in the query
+    chained = all(earlier_of[1:last])
+    reach: list[set[int] | None] = [None] * nq
     mapping = [-1] * nq
     used: set[int] = set()
     nd = [0] * nq  # neighbor-difference counts among the mapped pairs
     answers: list[MatchAnswer] = []
+
+    def near(images, cands: set[int]) -> set[int]:
+        return set().union(*(adjacency[m] & cands for m in images))
+
+    def reach_of(dep: int) -> set[int]:
+        got = reach[dep]
+        if got is None:
+            later = [cand_sets[qj] for qj in plan[dep + 1 :]]
+            got = reach[dep] = {
+                v
+                for v in cand_lists[plan[dep]]
+                if not all(map(adjacency[v].isdisjoint, later))
+            }
+        return got
+
+    def components() -> list[set[int]]:
+        # connected components of the image mapped so far
+        rest = set(used)
+        comps = []
+        while rest:
+            stack = [rest.pop()]
+            comp = set(stack)
+            while stack:
+                step = adjacency[stack.pop()] & rest
+                rest -= step
+                comp |= step
+                stack += step
+            comps.append(comp)
+        return comps
 
     def dfs(dep: int, total: int) -> None:
         if dep == nq:
@@ -388,6 +435,7 @@ def refine(
                 answers.append(MatchAnswer(full, frozenset(full), score))
             return
         qj = plan[dep]
+        cands = cand_sets[qj]
         earlier = earlier_of[dep]
         images = [mapping[ql] for ql in earlier]
         # how many bumps v may cause
@@ -397,11 +445,29 @@ def refine(
         else:
             saturated = images if budget == 0 else []
         if saturated:
-            pool = cand_sets[qj].intersection(*(adjacency[m] for m in saturated))
+            pool = cands.intersection(*(adjacency[m] for m in saturated))
         elif budget < len(images):
-            pool = set().union(*(adjacency[m] & cand_sets[qj] for m in images))
+            pool = near(images, cands)
+        elif dep == 0:
+            pool = reach_of(0) if nq > 1 else cand_lists[qj]
         else:
-            pool = cand_lists[qj]
+            # the candidates adjacent to the image, from the smaller side
+            if len(cands) > len(used):
+                pool = near(used, cands)
+            else:
+                pool = [v for v in cands if not adjacency[v].isdisjoint(used)]
+            if dep < last and len(pool) < len(cands):
+                pool = reach_of(dep).union(pool)
+        # with no bump among the mapped pairs, a connected plan prefix maps
+        # to a connected image
+        if dep == last and dep > 1 and pool and (any(nd) or not chained):
+            comps = components()
+            if len(comps) > 1:
+                pool = [
+                    v
+                    for v in pool
+                    if not any(adjacency[v].isdisjoint(c) for c in comps)
+                ]
         for v in pool:
             if v in used:
                 continue
@@ -409,8 +475,6 @@ def refine(
             bumps = [ql for ql, m in zip(earlier, images) if m not in adj]
             # a bump to a neighbor at sigma is ruled out by the pool
             if len(bumps) > budget:
-                continue
-            if nq > 1 and adj.isdisjoint(used) and adj.isdisjoint(later_of[dep]):
                 continue
             mapping[qj] = v
             used.add(v)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .graph import DataGraph
 
 __all__ = [
     "SignatureConfig",
-    "VertexAux",
     "AuxData",
     "keyword_group",
     "hash_keyword",
@@ -57,13 +56,6 @@ class SignatureConfig:
     @property
     def words_per_group(self) -> int:
         return (self.bits_per_group + 63) // 64
-
-
-class VertexAux(NamedTuple):
-    """Per-vertex signature data: own bits and neighborhood bits."""
-
-    bv: np.ndarray
-    nbv: np.ndarray
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -150,8 +142,7 @@ class AuxData:
     """Signature arrays for a whole graph.
 
     ``bv[i]`` is vertex ``i``'s own signature and ``nbv[i]`` the OR of its
-    neighbors' signatures; an isolated vertex gets a zero ``nbv``. Indexing
-    yields :class:`VertexAux` views.
+    neighbors' signatures; an isolated vertex gets a zero ``nbv``.
     """
 
     cfg: SignatureConfig
@@ -160,9 +151,6 @@ class AuxData:
 
     def __len__(self) -> int:
         return self.bv.shape[0]
-
-    def __getitem__(self, i: int) -> VertexAux:
-        return VertexAux(self.bv[i], self.nbv[i])
 
     def flat_bv(self) -> np.ndarray:
         """Signatures flattened to ``(n, groups * words)`` for batch kernels."""

@@ -108,6 +108,36 @@ def test_exact_filter_drops_signature_survivors(team_graph, team_query):
     assert (0, 1, 2, 3, 4) in {a.mapping for a in res.answers}
 
 
+def test_hash_collisions_never_reach_the_candidates():
+    # with 2-8 bits in one group, unrelated keywords share signature bits,
+    # so the traversal passes vertices lacking a query keyword; the recheck
+    # has to drop each of them before the candidates and their stats
+    rng = np.random.default_rng(43)
+    false_positives = 0
+    for bits in range(2, 9):
+        cfg = SignatureConfig(group_count=1, bits_per_group=bits)
+        for _ in range(3):
+            g, q = random_instance(rng, max_vertices=40)
+            index = build_index(g, sig_config=cfg)
+            for aggregate, sigma in ((MAX, 1), (SUM, 2)):
+                spec = QuerySpec(query=q, aggregate=aggregate, sigma=sigma)
+                res = run_query(index, g, spec)
+                raw, _ = collect(index, g, q, sigma=sigma)
+                expect = [
+                    [v for v in c.tolist() if keyword_feasible(g, q, qj, v)]
+                    for qj, c in enumerate(raw)
+                ]
+                false_positives += sum(map(len, raw)) - sum(map(len, expect))
+                assert [c.tolist() for c in res.candidates] == expect
+                sizes = [len(c) for c in expect]
+                assert res.stats.candidates_per_qvertex == sizes
+                pairs = g.vertex_count * q.vertex_count
+                assert res.stats.pruning_power == 1.0 - sum(sizes) / pairs
+                expect_answers = oracle_search(g, q, aggregate, sigma)
+                assert scored(res.answers) == scored(expect_answers)
+    assert false_positives > 0
+
+
 def test_collect_rejects_negative_sigma(small_index, team_graph, team_query):
     with pytest.raises(ValueError, match="sigma"):
         collect(small_index, team_graph, team_query, sigma=-1)
@@ -214,10 +244,14 @@ def test_refine_matches_sigma_zero_embedding_enumeration():
 def refine_instances():
     """Instances with their exact keyword candidate lists.
 
-    Eight random ones, plus a K4 query over a triangle with a pendant
-    vertex: there the last query vertex mapped has three earlier neighbors,
-    so one image adjacent to it, not all three, decides its pool and its
-    bump count. Random sampled queries are too sparse for that.
+    Eight random ones, plus two hand-built ones that random sampled queries
+    are too sparse for. A K4 query over a triangle with a pendant vertex:
+    there the last query vertex mapped has three earlier neighbors, so one
+    image adjacent to it, not all three, decides its pool and its bump
+    count. A triangle query over the path 0-1-2 with a pendant 3 on 0:
+    mapping query vertices 0 and 1 to data vertices 0 and 2 leaves a
+    two-component image that only vertex 1 joins, while the pendant touches
+    one component and would leave the image disconnected.
     """
     rng = np.random.default_rng(12)
     pairs = [random_instance(rng, max_vertices=35) for _ in range(8)]
@@ -225,6 +259,12 @@ def refine_instances():
         (
             make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)], [[0]] * 4, ["k"]),
             make_graph(4, list(itertools.combinations(range(4), 2)), [[0]] * 4, ["k"]),
+        )
+    )
+    pairs.append(
+        (
+            make_graph(4, [(0, 1), (1, 2), (0, 3)], [[0]] * 4, ["k"]),
+            make_graph(3, [(0, 1), (0, 2), (1, 2)], [[0]] * 3, ["k"]),
         )
     )
     out = []
@@ -254,17 +294,22 @@ def test_refine_look_ahead_is_lossless():
 
 
 def test_refine_never_scores_an_over_budget_mapping(monkeypatch):
-    # the partial-score cutoff keeps every complete mapping within sigma, so
-    # is_answer only ever has connectivity left to reject
+    # the partial-score cutoff keeps every complete mapping within sigma,
+    # and the last-position component rule keeps its image connected, so
+    # is_answer accepts every mapping that reaches it
     checked = []
     over = []
+    rejected = []
 
     def spy(g, q, mapping, aggregate, sigma):
         checked.append(mapping)
         score = aggregated_neighbor_difference(g, q, mapping, aggregate)
         if score > sigma:
             over.append((mapping, aggregate, score, sigma))
-        return is_answer(g, q, mapping, aggregate, sigma)
+        accepted = is_answer(g, q, mapping, aggregate, sigma)
+        if not accepted:
+            rejected.append((mapping, aggregate, sigma))
+        return accepted
 
     monkeypatch.setattr("s3and.engine.is_answer", spy)
     for g, q, cands in refine_instances():
@@ -274,6 +319,30 @@ def test_refine_never_scores_an_over_budget_mapping(monkeypatch):
                 refine(g, q, plan, cands, aggregate, sigma)
     assert checked
     assert over == []
+    assert rejected == []
+
+
+def test_refine_last_vertex_joins_every_component(monkeypatch):
+    # the triangle over the path with a pendant: 0 -> 0 and 1 -> 2 leave
+    # two components, so the last query vertex may take vertex 1, which
+    # touches both, but not the pendant 3, which touches only one; within
+    # sigma 2 the pendant's mapping fails on connectivity alone
+    g, q, cands = refine_instances()[-1]
+    assert aggregated_neighbor_difference(g, q, (0, 2, 3), MAX) == 2
+    assert not is_answer(g, q, (0, 2, 3), MAX, 2)
+    checked = []
+
+    def spy(g, q, mapping, aggregate, sigma):
+        checked.append(mapping)
+        return is_answer(g, q, mapping, aggregate, sigma)
+
+    monkeypatch.setattr("s3and.engine.is_answer", spy)
+    plan = make_query_plan(q, cands)
+    assert plan == [0, 1, 2]
+    got = {a.mapping: a.and_score for a in refine(g, q, plan, cands, MAX, 2)}
+    assert got[(0, 2, 1)] == 1
+    assert (0, 2, 1) in checked
+    assert (0, 2, 3) not in checked
 
 
 # --- neighbor-support filter ---------------------------------------------

@@ -161,7 +161,7 @@ def test_bounds_below_true_difference_exhaustively():
 
 def test_node_keyword_check_two_member_gold(team_side, team_aux):
     # aggregate over the sales and legal vertices still covers no query label
-    agg_neg = complemented((team_aux[6].bv | team_aux[9].bv)[None])
+    agg_neg = complemented((team_aux.bv[6] | team_aux.bv[9])[None])
     for qj in range(5):
         assert not pair_contained(agg_neg, 0, team_side, qj)
 

@@ -94,13 +94,13 @@ def test_nbv_covers_neighbors(team_graph):
     cfg = SignatureConfig()
     aux = build_aux(team_graph, cfg)
     for nb in team_graph.adjacency[0]:  # vertices 1, 3, 11
-        assert contains(aux[0].nbv, aux[nb].bv)
+        assert contains(aux.nbv[0], aux.bv[nb])
 
 
 def test_isolated_vertex_aux():
     g = make_graph(3, [(0, 1)], [[0], [1], [2]], ["a", "b", "c"])
     aux = build_aux(g, SignatureConfig())
-    assert not aux[2].nbv.any()
+    assert not aux.nbv[2].any()
 
 
 def test_containment_zero_query_always_true():
@@ -149,16 +149,15 @@ def test_build_aux_nbv_matches_manual_or(team_graph):
     for v in range(team_graph.vertex_count):
         manual = np.zeros((cfg.group_count, cfg.words_per_group), dtype=np.uint64)
         for nb in team_graph.adjacency[v]:
-            manual |= aux[nb].bv
-        assert np.array_equal(aux[v].nbv, manual)
+            manual |= aux.bv[nb]
+        assert np.array_equal(aux.nbv[v], manual)
 
 
 def test_aux_container_api(team_graph):
     aux = build_aux(team_graph, SignatureConfig())
     assert len(aux) == 12
     assert isinstance(aux, AuxData)
-    entry = aux[3]
-    assert entry.bv.shape == (5, 1)
+    assert aux.bv[3].shape == (5, 1)
     assert aux.flat_bv().shape == (12, 5)
     assert aux.flat_nbv().shape == (12, 5)
 
