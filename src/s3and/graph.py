@@ -24,7 +24,7 @@ import collections
 import functools
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -69,31 +69,28 @@ class DataGraph:
 
     ``adjacency[i]`` and ``keywords[i]`` are sorted tuples. ``keyword_names``
     maps a keyword id back to its token; its length is the keyword domain
-    size, and every keyword id is less than it.
+    size, and every keyword id is less than it. The set views and the edge
+    list are derived on first use, so a graph only pays for the ones its
+    callers read.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
     keywords: tuple[tuple[int, ...], ...]
     keyword_names: tuple[str, ...]
-    adjacency_sets: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    keyword_sets: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "adjacency_sets", tuple(frozenset(a) for a in self.adjacency)
-        )
-        object.__setattr__(
-            self, "keyword_sets", tuple(frozenset(w) for w in self.keywords)
-        )
-        edges = tuple(
+    @functools.cached_property
+    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(a) for a in self.adjacency)
+
+    @functools.cached_property
+    def keyword_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(w) for w in self.keywords)
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(
             (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
         )
-        object.__setattr__(self, "edges", edges)
 
     @property
     def vertex_count(self) -> int:
@@ -101,7 +98,7 @@ class DataGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     @property
     def keyword_domain_size(self) -> int:
@@ -154,16 +151,13 @@ def make_graph(
             f"expected {vertex_count} keyword sets, got {len(keywords)}"
         )
     adjacency: list[set[int]] = [set() for _ in range(vertex_count)]
-    seen: set[Edge] = set()
     for u, v in edges:
         if u == v:
             raise GraphValidationError(f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphValidationError(f"edge ({u}, {v}) references unknown vertex")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphValidationError(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
+        if v in adjacency[u]:
+            raise GraphValidationError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
         adjacency[u].add(v)
         adjacency[v].add(u)
     domain = len(keyword_names)
@@ -175,8 +169,10 @@ def make_graph(
                 f"vertex {i} has keyword id outside [0, {domain})"
             )
         kw_tuples.append(wt)
+    # one int object per vertex id, shared by every tuple that names it
+    ids = list(range(vertex_count))
     return DataGraph(
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
+        adjacency=tuple(tuple(map(ids.__getitem__, sorted(a))) for a in adjacency),
         keywords=tuple(kw_tuples),
         keyword_names=tuple(keyword_names),
     )

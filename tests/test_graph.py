@@ -182,6 +182,26 @@ def test_make_graph_rejects_self_loop():
     assert "self-loop" in str(err.value)
 
 
+def test_make_graph_rejects_reversed_duplicate_edge():
+    with pytest.raises(GraphValidationError) as err:
+        make_graph(3, [(2, 1), (1, 2)], [[0], [0], [0]], ["x"])
+    assert "duplicate edge (1, 2)" in str(err.value)
+
+
+def test_set_views_are_derived_on_first_use(team_graph):
+    # a loaded graph holds only its tuples until a caller reads a view
+    g = parse_graph(TEAM_GRAPH_TEXT)
+    views = {"adjacency_sets", "keyword_sets", "edges"}
+    assert not views & vars(g).keys()
+    assert g.edge_count == 13
+    assert not views & vars(g).keys()
+    assert g.adjacency_sets[3] == frozenset(g.adjacency[3])
+    assert g.keyword_sets[0] == frozenset({5})
+    assert len(g.edges) == 13
+    assert views <= vars(g).keys()
+    assert g == team_graph
+
+
 def test_make_graph_rejects_bad_keyword_id():
     with pytest.raises(GraphValidationError):
         make_graph(1, [], [[3]], ["only"])
@@ -233,4 +253,6 @@ def test_round_trip_random_graphs(g):
     text = format_graph(g)
     again = parse_graph(text)
     assert again.adjacency == g.adjacency
+    assert again.edges == g.edges and again.edge_count == len(g.edges)
+    assert again.adjacency_sets == tuple(frozenset(a) for a in g.adjacency)
     assert format_graph(again) == text
