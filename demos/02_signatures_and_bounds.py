@@ -9,8 +9,10 @@ cheap lower bounds on the neighbor difference stack on top.
 
 The predicates are the batch functions the tree traversal runs: each takes
 many (entry, query vertex) pairs as two index arrays, over the index's
-complemented, word-major signature arrays. Here every call asks about a
-whole row of data vertices against one query vertex.
+complemented, word-major signature arrays. Tree nodes and data vertices
+share those arrays: node ``u`` is entry ``u`` and vertex ``v`` is entry
+``node_count() + v``. Here every call asks about a whole row of data
+vertices against one query vertex.
 """
 
 import numpy as np
@@ -76,6 +78,7 @@ index = build_index(g, sig_config=cfg)
 aux = index.aux
 side = build_query_side(q, cfg)
 vertices = np.arange(g.vertex_count)
+entries = index.node_count() + vertices
 
 print(f"signature shape per vertex: {aux.bv[0].shape} packed 64-bit words")
 print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux.bv[0].reshape(-1)]}")
@@ -85,7 +88,8 @@ print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux.nbv[0].reshape(-1
 # vertex, so the bit test alone removes them from every candidate set.
 print("\nvertices pruned by the keyword bits alone, per query vertex:")
 for qj in range(q.vertex_count):
-    kept = keyword_contained(index.bv_neg, vertices, side.bits, np.full_like(vertices, qj))
+    qv = np.full_like(entries, qj)
+    kept = keyword_contained(index.entry_bv_neg, entries, side.bits, qv)
     print(f"  query vertex {qj}: {vertices[~kept].tolist()}")
 
 # The degree bound: a data vertex with fewer neighbors than the query
@@ -100,7 +104,9 @@ for vi, lb in zip(vs.tolist(), shortfall.tolist()):
 # by the data vertex's neighborhood bits must contribute a difference.
 print("\nneighborhood bound for query vertex 0 (neighbors: backend, systems):")
 vs = np.array([0, 5, 11])
-uncovered = uncovered_neighbors(index.nbv_neg, vs, side.neighbor_bits, np.full_like(vs, 0))
+uncovered = uncovered_neighbors(
+    index.entry_nbv_neg, entries[vs], side.neighbor_bits, np.full_like(vs, 0)
+)
 for vi, lb in zip(vs.tolist(), uncovered.tolist()):
     names = ",".join(g.keyword_names[k] for k in g.keywords[vi])
     print(f"  against vertex {vi} ({names}): lower bound {lb}")

@@ -46,7 +46,6 @@ from .signatures import (
     build_bit_vectors,
     hash_keyword,
     keyword_group,
-    vertex_bit_vector,
 )
 from .pruning import (
     QuerySideData,
@@ -126,7 +125,6 @@ __all__ = [
     "AuxData",
     "keyword_group",
     "hash_keyword",
-    "vertex_bit_vector",
     "build_bit_vectors",
     "build_aux",
     # pruning

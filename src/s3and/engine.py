@@ -39,13 +39,18 @@ vertices its own aggregates rule out; a node with an empty live set is never
 visited. The traversal is level-synchronous: one tree depth at a time, the
 live (node, query vertex) pairs sit in two index arrays and every predicate
 runs over all of them in a few numpy operations, in the frontier-at-a-time
-style of linear-algebra graph traversal. Every live pair is tested exactly
-once, so the candidate sets and ``nodes_visited`` are fixed by the tree and
-the query alone.
+style of linear-algebra graph traversal. Nodes and vertices share the
+index's entry id space, node ``u`` at ``u`` and vertex ``v`` at the node
+count plus ``v``, so a leaf's members and an internal node's children are
+expanded and tested by the same level body, whatever the mix of leaves and
+internal nodes at a depth. Every live pair is tested exactly once, so the
+candidate sets and ``nodes_visited`` are fixed by the tree and the query
+alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -89,13 +94,19 @@ class Ablation:
     ``keyword`` is the signature containment check (vertex and node level),
     ``lb_basic`` the degree-shortfall bound, ``lb_tight`` the
     neighborhood-signature bound (vertex and node level). Keyword pruning is
-    always on; the other two stack on top of it.
+    always on, the degree bound stacks on it and the tight bound on both,
+    so ``lb_tight`` without ``lb_basic`` names no level and raises
+    ``ValueError``.
     """
 
     lb_basic: bool = True
     lb_tight: bool = True
 
     LEVELS = ("ks", "ks+lb", "ks+lb+tight")
+
+    def __post_init__(self) -> None:
+        if self.lb_tight and not self.lb_basic:
+            raise ValueError(f"lb_tight needs lb_basic, expected one of {self.LEVELS}")
 
     @classmethod
     def parse(cls, name: str) -> "Ablation":
@@ -129,15 +140,7 @@ class QueryStats:
     support_killed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "pruning_power": self.pruning_power,
-            "nodes_visited": self.nodes_visited,
-            "candidates_per_qvertex": self.candidates_per_qvertex,
-            "wall_ms": self.wall_ms,
-            "answers": self.answers,
-            "distinct_vertex_sets": self.distinct_vertex_sets,
-            "support_killed": self.support_killed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -145,71 +148,6 @@ class QueryResult:
     answers: list[MatchAnswer]
     stats: QueryStats
     candidates: list[np.ndarray] = field(default_factory=list)
-
-
-def _expand(table: np.ndarray, nodes: np.ndarray, qv: np.ndarray):
-    """(entry, query vertex) pairs for every row entry of each (node, qv) pair."""
-    rows = table.take(nodes, axis=0)
-    valid = rows >= 0
-    return rows[valid], qv.repeat(table.shape[1])[valid.ravel()]
-
-
-def _traverse(
-    index: SubgraphIndex,
-    qside: QuerySideData,
-    sigma: int,
-    degrees: np.ndarray,
-    ablation: Ablation,
-) -> tuple[list[np.ndarray], int]:
-    """Level-synchronous traversal over (node, live query vertex) pairs.
-
-    Each level holds the live pairs of one tree depth as two index arrays.
-    Leaf pairs expand to (member, query vertex) pairs that get the keyword
-    check, the degree bound and the tight bound over the vertex arrays;
-    internal pairs expand to (child, query vertex) pairs that get the
-    keyword check, and the survivors of that the tight bound, over the node
-    aggregates. What survives forms the next level. A node counts as visited
-    when it holds at least one live pair; the root always does.
-    """
-    nq = qside.vertex_count
-    q_bits, q_nbr, q_deg = qside.bits, qside.neighbor_bits, qside.degrees
-    seen = np.zeros(index.node_count(), dtype=bool)
-    seen[0] = True
-    nodes = np.zeros(nq, dtype=np.int64)
-    qv = np.arange(nq, dtype=np.int64)
-    hit_v: list[np.ndarray] = []
-    hit_q: list[np.ndarray] = []
-    for has_leaf, has_inner in index.levels:
-        if not nodes.size:
-            break
-        if has_leaf:
-            v, vq = _expand(index.member_table, nodes, qv)
-            keep = keyword_contained(index.bv_neg, v, q_bits, vq)
-            if ablation.lb_basic:
-                keep &= degree_shortfall(degrees, v, q_deg, vq) <= sigma
-            v, vq = v[keep], vq[keep]
-            if ablation.lb_tight:
-                keep = uncovered_neighbors(index.nbv_neg, v, q_nbr, vq) <= sigma
-                v, vq = v[keep], vq[keep]
-            hit_v.append(v)
-            hit_q.append(vq)
-        if not has_inner:
-            break
-        c, cq = _expand(index.child_table, nodes, qv)
-        keep = keyword_contained(index.agg_bv_neg, c, q_bits, cq)
-        c, cq = c[keep], cq[keep]
-        if ablation.lb_tight:
-            keep = uncovered_neighbors(index.agg_nbv_neg, c, q_nbr, cq) <= sigma
-            c, cq = c[keep], cq[keep]
-        seen[c] = True
-        nodes, qv = c, cq
-    v = np.concatenate(hit_v) if hit_v else np.empty(0, dtype=np.int64)
-    vq = np.concatenate(hit_q) if hit_q else np.empty(0, dtype=np.int64)
-    # one sort orders by query vertex, then by vertex id
-    key = np.sort(vq * index.vertex_count + v) % index.vertex_count
-    bounds = np.bincount(vq, minlength=nq).cumsum().tolist()
-    candidates = [key[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
-    return candidates, int(np.count_nonzero(seen))
 
 
 def collect_candidates(
@@ -221,6 +159,15 @@ def collect_candidates(
 ) -> tuple[list[np.ndarray], int]:
     """Traverse the tree, returning candidate vertex ids per query vertex.
 
+    Each level holds the live (node, query vertex) pairs of one tree depth
+    as two index arrays. The pairs expand to (entry, query vertex) pairs
+    over the index's entry table, which get the keyword check and the
+    tight bound over the entry arrays. Survivors with an entry id of at
+    least the node count are vertex hits; the rest are the next level's
+    live pairs. The degree bound holds for vertices only, so it runs once
+    over all hits after the last level. A node counts as visited when it
+    holds at least one live pair; the root always does.
+
     ``degrees`` is the data graph's degree vector, needed by the degree
     bound. Returns ``(candidates, nodes_visited)``; candidate arrays are
     sorted ascending. A negative ``sigma`` raises ``ValueError``, as it
@@ -228,7 +175,40 @@ def collect_candidates(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    return _traverse(index, qside, sigma, degrees, ablation)
+    nq = qside.vertex_count
+    q_bits, q_nbr, q_deg = qside.bits, qside.neighbor_bits, qside.degrees
+    n = index.node_count()
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    nodes = np.zeros(nq, dtype=np.int64)
+    qv = np.arange(nq, dtype=np.int64)
+    hit_v: list[np.ndarray] = []
+    hit_q: list[np.ndarray] = []
+    while nodes.size:
+        # (entry, query vertex) pairs for every row entry of each live pair
+        rows = index.entry_table.take(nodes, axis=0)
+        valid = rows >= 0
+        e, eq = rows[valid], qv.repeat(rows.shape[1])[valid.ravel()]
+        keep = keyword_contained(index.entry_bv_neg, e, q_bits, eq)
+        e, eq = e[keep], eq[keep]
+        if ablation.lb_tight:
+            keep = uncovered_neighbors(index.entry_nbv_neg, e, q_nbr, eq) <= sigma
+            e, eq = e[keep], eq[keep]
+        hit = e >= n
+        hit_v.append(e[hit])
+        hit_q.append(eq[hit])
+        inner = ~hit
+        nodes, qv = e[inner], eq[inner]
+        seen[nodes] = True
+    v, vq = np.concatenate(hit_v) - n, np.concatenate(hit_q)
+    if ablation.lb_basic:
+        keep = degree_shortfall(degrees, v, q_deg, vq) <= sigma
+        v, vq = v[keep], vq[keep]
+    # one sort orders by query vertex, then by vertex id
+    key = np.sort(vq * index.vertex_count + v) % index.vertex_count
+    bounds = np.bincount(vq, minlength=nq).cumsum().tolist()
+    candidates = [key[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+    return candidates, int(np.count_nonzero(seen))
 
 
 def exact_keyword_filter(

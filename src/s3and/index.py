@@ -5,7 +5,7 @@ signatures; each tree node aggregates the OR of its members' signatures and
 the OR of their neighborhood signatures. Queries can then discard whole
 subtrees whose aggregates cannot cover a query vertex's requirements. The
 tree is kept as flat arrays: its shape, from which the aggregates and the
-traversal tables are derived (see :class:`SubgraphIndex`).
+traversal's entry table are derived (see :class:`SubgraphIndex`).
 
 Partitioning minimizes ``intra / (inter + 1)``: the sum of members' L1
 distances to their part's centroid over the summed pairwise centroid
@@ -113,21 +113,19 @@ class SubgraphIndex:
     each leaf in turn. ``graph_fingerprint`` is the indexed graph's
     :attr:`DataGraph.fingerprint`.
 
-    The remaining fields are derived from the shape and ``aux`` on
-    construction, and are not saved to the index file:
+    Nodes and vertices share one id space of entries: node ``u`` is entry
+    ``u`` and vertex ``v`` is entry ``node_count() + v``. The remaining
+    fields are derived from the shape and ``aux`` on construction, and are
+    not saved to the index file:
 
-    - ``child_table`` and ``member_table``: row ``u`` holds node ``u``'s
-      children and members, padded with -1 (a leaf has no children, an
-      internal node no members).
-    - ``agg_bv_neg`` and ``agg_nbv_neg``: bitwise complements of each
-      node's aggregates, the OR of its descendant members' signatures and
-      neighborhood signatures; ``bv_neg`` and ``nbv_neg``: complements of
-      the vertex signatures. All four are word-major, ``(words, nodes)``
-      and ``(words, vertices)``, so that "query bits contained in s" reads
-      ``q & ~s == 0`` and the OR over a signature's words is one reduction
-      along the outer axis.
-    - ``levels[d]``: whether depth ``d`` holds any leaf and any internal
-      node.
+    - ``entry_table``: row ``u`` holds node ``u``'s entries, its children
+      or, for a leaf, its members, padded with -1.
+    - ``entry_bv_neg`` and ``entry_nbv_neg``: bitwise complements of every
+      entry's signature and neighborhood signature. A node's are the OR
+      over its descendant members. Both are word-major, ``(words,
+      entries)``, so that "query bits contained in s" reads ``q & ~s == 0``
+      and the OR over a signature's words is one reduction along the outer
+      axis.
     """
 
     index_config: IndexConfig
@@ -138,28 +136,30 @@ class SubgraphIndex:
     child_counts: np.ndarray
     leaf_sizes: np.ndarray
     permutation: np.ndarray
-    child_table: np.ndarray = field(init=False, repr=False)
-    member_table: np.ndarray = field(init=False, repr=False)
-    agg_bv_neg: np.ndarray = field(init=False, repr=False)
-    agg_nbv_neg: np.ndarray = field(init=False, repr=False)
-    bv_neg: np.ndarray = field(init=False, repr=False)
-    nbv_neg: np.ndarray = field(init=False, repr=False)
-    levels: tuple[tuple[bool, bool], ...] = field(init=False, repr=False)
+    entry_table: np.ndarray = field(init=False, repr=False)
+    entry_bv_neg: np.ndarray = field(init=False, repr=False)
+    entry_nbv_neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cc = self.child_counts
-        starts = _level_starts(cc)
+        n = cc.size
         leaf = cc == 0
-        sizes = np.zeros(cc.size, dtype=np.int64)
+        sizes = np.zeros(n, dtype=np.int64)
         sizes[leaf] = self.leaf_sizes
         first_child = np.cumsum(cc) - cc + 1
         first_member = np.cumsum(sizes) - sizes
-        self.child_table = _padded(first_child, cc, np.arange(cc.size))
-        self.member_table = _padded(first_member, sizes, self.permutation)
+        self.entry_table = _padded(
+            np.where(leaf, n + first_member, first_child),
+            cc + sizes,
+            np.concatenate([np.arange(n), n + self.permutation]),
+        )
+        starts = _level_starts(cc)
 
-        def aggregate(sig: np.ndarray) -> np.ndarray:
-            """Per node, the OR of ``sig`` over its descendant members."""
-            agg = np.empty((cc.size, sig.shape[1]), dtype=sig.dtype)
+        def complemented(sig: np.ndarray) -> np.ndarray:
+            """``~sig`` per entry, word-major; a node's is its members' OR."""
+            ent = np.empty((n + self.vertex_count, sig.shape[1]), dtype=sig.dtype)
+            ent[n:] = sig
+            agg = ent[:n]
             agg[leaf] = np.bitwise_or.reduceat(
                 sig[self.permutation], first_member[leaf]
             )
@@ -171,24 +171,17 @@ class SubgraphIndex:
                 agg[inner] = np.bitwise_or.reduceat(
                     agg[hi:end], first_child[inner] - hi
                 )
-            return agg
+            return np.ascontiguousarray(~ent.T)
 
-        bv, nbv = self.aux.flat_bv(), self.aux.flat_nbv()
-        self.agg_bv_neg = np.ascontiguousarray(~aggregate(bv).T)
-        self.agg_nbv_neg = np.ascontiguousarray(~aggregate(nbv).T)
-        self.bv_neg = np.ascontiguousarray(~bv.T)
-        self.nbv_neg = np.ascontiguousarray(~nbv.T)
-        self.levels = tuple(
-            (bool(leaf[lo:hi].any()), bool(cc[lo:hi].any()))
-            for lo, hi in zip(starts, starts[1:])
-        )
+        self.entry_bv_neg = complemented(self.aux.flat_bv())
+        self.entry_nbv_neg = complemented(self.aux.flat_nbv())
 
     @property
     def sig_config(self) -> SignatureConfig:
         return self.aux.cfg
 
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(_level_starts(self.child_counts)) - 2
 
     def node_count(self) -> int:
         return self.child_counts.size
@@ -361,10 +354,15 @@ def build_index(
     index_config: IndexConfig | None = None,
     aux: AuxData | None = None,
 ) -> SubgraphIndex:
-    """Build the tree for ``g``; precomputed ``aux`` is reused when given."""
+    """Build the tree for ``g``; precomputed ``aux`` is reused when given.
+
+    Without ``sig_config`` the signatures follow ``aux``'s config, or the
+    default one when there is no ``aux``.
+    """
     if g.vertex_count == 0:
         raise ValueError("cannot index an empty graph")
-    sig_config = sig_config or SignatureConfig()
+    if sig_config is None:
+        sig_config = aux.cfg if aux is not None else SignatureConfig()
     index_config = index_config or IndexConfig()
     if aux is None:
         aux = build_aux(g, sig_config)
@@ -475,7 +473,7 @@ def load_index(path: str | Path) -> SubgraphIndex:
     The checks run in file order before anything is used: the magic, then
     the version, then the trailing digest over every byte before it, and
     only then the counts, each against the bytes left. The tree shape is
-    checked before the node aggregates and tables are derived from it: the
+    checked before the entry table and arrays are derived from it: the
     child counts must form one tree with the header's node count, every
     leaf must have a member, and the leaves must partition the vertex ids.
     """

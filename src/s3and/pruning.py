@@ -20,10 +20,13 @@ bound of at most every member's bound.
 
 Each predicate runs over many (entry, query vertex) pairs at once, given as
 two index arrays: ``ids`` into the entry columns of a word-major array and
-``qv`` into the query side. An entry is a data vertex or a tree node,
-depending on the array passed (``SubgraphIndex.bv_neg`` or ``agg_bv_neg``,
-and likewise for the neighborhood bits). The bound functions return the
-bound itself; the caller compares it with sigma.
+``qv`` into the query side. The traversal passes the index's entry arrays
+(``SubgraphIndex.entry_bv_neg`` and ``entry_nbv_neg``), where tree node
+``u`` is entry ``u`` and data vertex ``v`` is entry ``node_count() + v``,
+so one call tests nodes and vertices alike. The degree shortfall holds
+for data vertices only and takes vertex ids into the degree vector. The
+bound functions return the bound itself; the caller compares it with
+sigma.
 """
 
 from __future__ import annotations

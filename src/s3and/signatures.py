@@ -28,7 +28,6 @@ __all__ = [
     "AuxData",
     "keyword_group",
     "hash_keyword",
-    "vertex_bit_vector",
     "build_bit_vectors",
     "unpack_bits",
     "build_aux",
@@ -94,11 +93,6 @@ def _keyword_bits(cfg: SignatureConfig) -> dict[int, tuple[int, int]]:
     the keyword ids seen; without it every query hashes its keywords again.
     """
     return {}
-
-
-def vertex_bit_vector(keywords: Iterable[int], cfg: SignatureConfig) -> np.ndarray:
-    """Signature of one keyword set, shape ``(group_count, words_per_group)``."""
-    return build_bit_vectors([keywords], cfg)[0]
 
 
 def build_bit_vectors(

@@ -268,11 +268,20 @@ def tree_walk(index) -> tuple[list[list[int]], list[list[int]]]:
     return children, members
 
 
+def vertex_entry(index, v: int) -> int:
+    """The entry id of data vertex ``v``: entries number the nodes first."""
+    return index.node_count() + v
+
+
 def index_aggregates(index) -> tuple[np.ndarray, np.ndarray]:
     """The index's own node aggregates, ``(nodes, groups, words)`` each."""
     cfg = index.sig_config
-    shape = (index.node_count(), cfg.group_count, cfg.words_per_group)
-    return (~index.agg_bv_neg.T).reshape(shape), (~index.agg_nbv_neg.T).reshape(shape)
+    n = index.node_count()
+    shape = (n, cfg.group_count, cfg.words_per_group)
+    return tuple(
+        (~neg[:, :n].T).reshape(shape)
+        for neg in (index.entry_bv_neg, index.entry_nbv_neg)
+    )
 
 
 # --- the traversal's predicates, one pair at a time --------------------------
@@ -282,7 +291,7 @@ def complemented(rows: np.ndarray) -> np.ndarray:
     """Signature rows ``(n, groups, words)`` as the predicates read them.
 
     That is complemented and word-major, ``(groups * words, n)``, the layout
-    of ``SubgraphIndex.bv_neg``.
+    of ``SubgraphIndex.entry_bv_neg``.
     """
     return np.ascontiguousarray(~rows.reshape(len(rows), -1).T)
 
@@ -324,20 +333,27 @@ def audit_structure(index, g) -> None:
     # leaves partition the vertex set
     assert sorted(members[0]) == list(range(g.vertex_count))
     assert index.depth() <= depth_bound(cfg, g.vertex_count)
+    n = index.node_count()
+    assert index.entry_table.shape[0] == n
+    assert index.entry_bv_neg.shape[1] == index.entry_nbv_neg.shape[1] == n + g.vertex_count
+    # the vertex entries follow the nodes, in vertex order
+    assert np.array_equal(index.entry_bv_neg[:, n:], complemented(aux.bv))
+    assert np.array_equal(index.entry_nbv_neg[:, n:], complemented(aux.nbv))
     agg_bv, agg_nbv = index_aggregates(index)
     for u, (kids, idx) in enumerate(zip(children, members)):
         assert np.array_equal(agg_bv[u], np.bitwise_or.reduce(aux.bv[idx], axis=0))
         assert np.array_equal(agg_nbv[u], np.bitwise_or.reduce(aux.nbv[idx], axis=0))
-        child_row = index.child_table[u]
-        member_row = index.member_table[u]
-        assert child_row[child_row >= 0].tolist() == kids
+        row = index.entry_table[u]
+        entries = row[row >= 0].tolist()
+        # a row is its entries, then only padding
+        assert (row[len(entries) :] < 0).all()
         if kids:
-            assert (member_row < 0).all()
+            assert entries == kids
             cap = split_capacity(cfg, len(idx))
             for child in kids:
                 assert len(members[child]) <= cap
         else:
-            assert member_row[member_row >= 0].tolist() == idx
+            assert entries == [vertex_entry(index, v) for v in idx]
             assert len(idx) <= cfg.fanout
 
 

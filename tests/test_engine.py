@@ -29,11 +29,15 @@ from s3and import (
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     mapping_set,
+    pair_contained,
+    pair_shortfall,
+    pair_uncovered,
     random_index_config,
     random_instance,
     reference_candidates,
     reference_query_plan,
     reference_support_filter,
+    vertex_entry,
 )
 
 MAX = AggregateKind.MAX
@@ -507,6 +511,21 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     # that holds both leaves and internal nodes.
     rng = np.random.default_rng(66)
     cases = [(team_graph, team_query, team_index)]
+    # a star query whose centre v0 matches on keywords and on neighborhood
+    # bits but has two neighbors too few: the degree bound alone drops it
+    names = ["a", "b"]
+    edges = [(0, 1), (1, 3), (2, 3), (2, 4), (2, 5)]
+    g = make_graph(6, edges, [[0], [1], [0], [1], [1], [1]], names)
+    q = make_graph(4, [(0, 1), (0, 2), (0, 3)], [[0], [1], [1], [1]], names)
+    index = build_index(g, index_config=IndexConfig(fanout=2))
+    qside = build_query_side(q, index.sig_config)
+    entry = vertex_entry(index, 0)
+    assert pair_contained(index.entry_bv_neg, entry, qside, 0)
+    assert pair_uncovered(index.entry_nbv_neg, entry, qside, 0) == 0
+    assert pair_shortfall(g.degree_vector, 0, qside, 0) == 2
+    assert collect(index, g, q, 1)[0][0].tolist() == [2]
+    assert collect(index, g, q, 1, ablation=Ablation.parse("ks"))[0][0].tolist() == [0, 2]
+    cases.append((g, q, index))
     for _ in range(8):
         g, q = random_instance(rng, max_vertices=150)
         cases.append((g, q, build_index(g, index_config=random_index_config(rng))))
@@ -552,6 +571,9 @@ def test_ablation_levels_parse_and_round_trip():
     assert Ablation.parse("ks+lb+tight") == Ablation()
     with pytest.raises(ValueError):
         Ablation.parse("everything")
+    # the tight bound stacks on the degree bound; alone it names no level
+    with pytest.raises(ValueError):
+        Ablation(lb_basic=False, lb_tight=True)
     for level in Ablation.LEVELS:
         assert Ablation.parse(level).name == level
 

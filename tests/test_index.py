@@ -38,12 +38,9 @@ _SHAPE_AND_DERIVED = (
     "child_counts",
     "leaf_sizes",
     "permutation",
-    "child_table",
-    "member_table",
-    "agg_bv_neg",
-    "agg_nbv_neg",
-    "bv_neg",
-    "nbv_neg",
+    "entry_table",
+    "entry_bv_neg",
+    "entry_nbv_neg",
 )
 
 
@@ -55,7 +52,6 @@ def structurally_equal(a, b) -> bool:
         or a.keyword_names != b.keyword_names
         or a.vertex_count != b.vertex_count
         or a.graph_fingerprint != b.graph_fingerprint
-        or a.levels != b.levels
     ):
         return False
     if not (
@@ -341,6 +337,15 @@ def test_build_rejects_mismatched_aux(team_graph):
     aux = build_aux(team_graph, SignatureConfig(group_count=3))
     with pytest.raises(ValueError):
         build_index(team_graph, sig_config=SignatureConfig(group_count=5), aux=aux)
+
+
+def test_build_takes_the_signature_config_from_aux(team_graph):
+    cfg = SignatureConfig(bits_per_group=8)
+    aux = build_aux(team_graph, cfg)
+    index = build_index(team_graph, aux=aux)
+    assert index.sig_config == cfg
+    assert index.aux is aux
+    assert structurally_equal(index, build_index(team_graph, sig_config=cfg))
 
 
 def test_build_thousand_vertex_audit():

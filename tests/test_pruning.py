@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from s3and import (
     SignatureConfig,
     build_aux,
+    build_bit_vectors,
     build_index,
     build_query_side,
     degree_shortfall,
@@ -24,7 +25,6 @@ from s3and import (
     keyword_feasible,
     make_graph,
     neighbor_difference,
-    vertex_bit_vector,
 )
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
@@ -33,6 +33,7 @@ from tests.conftest import (
     pair_shortfall,
     pair_uncovered,
     tree_walk,
+    vertex_entry,
 )
 
 CFG = SignatureConfig()
@@ -74,37 +75,41 @@ def test_query_side_layout(team_side, team_query):
 
 
 def test_uncovered_neighbors_fixture_golds(team_side, team_index):
+    nbv_neg = team_index.entry_nbv_neg
     # v0 ("ml", neighbors backend/frontend/design) covers q0's backend
     # neighbor but not the systems one
-    assert pair_uncovered(team_index.nbv_neg, 0, team_side, 0) == 1
+    assert pair_uncovered(nbv_neg, vertex_entry(team_index, 0), team_side, 0) == 1
     # v11 ("design", sole neighbor ml) covers neither of q0's neighbors
-    assert pair_uncovered(team_index.nbv_neg, 11, team_side, 0) == 2
+    assert pair_uncovered(nbv_neg, vertex_entry(team_index, 11), team_side, 0) == 2
 
 
 def test_uncovered_neighbors_zero_when_all_covered(team_side, team_index):
     # v3's neighborhood spans ml, backend, systems, data: q3's three
     # neighbors (backend, systems, data) are all covered
-    assert pair_uncovered(team_index.nbv_neg, 3, team_side, 3) == 0
+    entry = vertex_entry(team_index, 3)
+    assert pair_uncovered(team_index.entry_nbv_neg, entry, team_side, 3) == 0
 
 
 def test_keyword_contained_fails_on_disjoint_labels(team_side, team_index):
     # sales (v6) and legal (v9) share no keyword with any query vertex
     for vi in (6, 9):
         for qj in range(5):
-            assert not pair_contained(team_index.bv_neg, vi, team_side, qj)
+            entry = vertex_entry(team_index, vi)
+            assert not pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
 
 
 def test_keyword_contained_holds_for_true_matches(team_side, team_index):
     for qj, vi in enumerate((0, 1, 2, 3, 4)):
-        assert pair_contained(team_index.bv_neg, vi, team_side, qj)
+        entry = vertex_entry(team_index, vi)
+        assert pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 30), min_size=0, max_size=6), st.data())
 def test_keyword_contained_holds_for_subsets(big, data):
     sub = data.draw(st.sets(st.sampled_from(sorted(big)), max_size=len(big))) if big else set()
-    v_neg = complemented(vertex_bit_vector(sorted(big), CFG)[None])
-    q_bits = vertex_bit_vector(sorted(sub), CFG).reshape(-1, 1)
+    v_neg = complemented(build_bit_vectors([sorted(big)], CFG))
+    q_bits = build_bit_vectors([sorted(sub)], CFG).reshape(-1, 1)
     assert keyword_contained(v_neg, [0], q_bits, [0])[0]
 
 
@@ -113,7 +118,8 @@ def test_empty_query_keywords_never_pruned(team_index):
     side = build_query_side(q, CFG)
     assert not side.bits[:, 0].any()
     for vi in range(12):
-        assert pair_contained(team_index.bv_neg, vi, side, 0)
+        entry = vertex_entry(team_index, vi)
+        assert pair_contained(team_index.entry_bv_neg, entry, side, 0)
 
 
 def _small_instances():
@@ -174,7 +180,8 @@ def test_node_prune_implies_every_member_pruned(team_side, team_aux, team_index)
         for qj in range(5):
             if not pair_contained(agg_neg, 0, team_side, qj):
                 for vi in members:
-                    assert not pair_contained(team_index.bv_neg, int(vi), team_side, qj)
+                    entry = vertex_entry(team_index, int(vi))
+                    assert not pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
 
 
 def test_node_uncovered_bounds_member_minimum(team_side, team_aux, team_index):
@@ -185,7 +192,10 @@ def test_node_uncovered_bounds_member_minimum(team_side, team_aux, team_index):
         for qj in range(5):
             node_lb = pair_uncovered(agg_neg, 0, team_side, qj)
             member_min = min(
-                pair_uncovered(team_index.nbv_neg, int(vi), team_side, qj) for vi in members
+                pair_uncovered(
+                    team_index.entry_nbv_neg, vertex_entry(team_index, int(vi)), team_side, qj
+                )
+                for vi in members
             )
             assert node_lb <= member_min
 
@@ -206,6 +216,9 @@ def test_index_node_bounds_hold_on_random_build():
     _, members = tree_walk(index)
     for node, descendants in enumerate(members):
         for qj in range(q.vertex_count):
-            node_lb = pair_uncovered(index.agg_nbv_neg, node, side, qj)
-            member_min = min(pair_uncovered(index.nbv_neg, vi, side, qj) for vi in descendants)
+            node_lb = pair_uncovered(index.entry_nbv_neg, node, side, qj)
+            member_min = min(
+                pair_uncovered(index.entry_nbv_neg, vertex_entry(index, vi), side, qj)
+                for vi in descendants
+            )
             assert node_lb <= member_min

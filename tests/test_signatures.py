@@ -9,11 +9,11 @@ from s3and import (
     AuxData,
     SignatureConfig,
     build_aux,
+    build_bit_vectors,
     hash_keyword,
     keyword_contained,
     keyword_group,
     make_graph,
-    vertex_bit_vector,
 )
 from s3and.signatures import unpack_bits
 from tests.conftest import complemented
@@ -57,7 +57,7 @@ def test_hash_keyword_matches_reference():
 
 def test_empty_keyword_set_is_zero():
     cfg = SignatureConfig()
-    bv = vertex_bit_vector([], cfg)
+    bv = build_bit_vectors([[]], cfg)[0]
     assert bv.shape == (cfg.group_count, cfg.words_per_group)
     assert not bv.any()
 
@@ -65,7 +65,7 @@ def test_empty_keyword_set_is_zero():
 def test_vertex_bit_vector_positions_by_hand():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
     keywords = [3, 4, 6]
-    bv = vertex_bit_vector(keywords, cfg)
+    bv = build_bit_vectors([keywords], cfg)[0]
     expect = np.zeros((2, 1), dtype=np.uint64)
     for k in keywords:
         grp = k % 2
@@ -77,10 +77,10 @@ def test_vertex_bit_vector_positions_by_hand():
 def test_bit_vector_is_or_of_singletons():
     cfg = SignatureConfig()
     ks = [0, 5, 9, 13]
-    combined = vertex_bit_vector(ks, cfg)
+    combined = build_bit_vectors([ks], cfg)[0]
     ored = np.zeros_like(combined)
     for k in ks:
-        ored |= vertex_bit_vector([k], cfg)
+        ored |= build_bit_vectors([[k]], cfg)[0]
     assert np.array_equal(combined, ored)
 
 
@@ -120,21 +120,21 @@ def test_containment_zero_query_always_true():
 def test_containment_has_no_false_negatives(big, data):
     sub = data.draw(st.sets(st.sampled_from(sorted(big)), max_size=len(big))) if big else set()
     cfg = SignatureConfig(group_count=3, bits_per_group=16)
-    cand = vertex_bit_vector(sorted(big), cfg)
-    query = vertex_bit_vector(sorted(sub), cfg)
+    cand = build_bit_vectors([sorted(big)], cfg)[0]
+    query = build_bit_vectors([sorted(sub)], cfg)[0]
     assert contains(cand, query)
 
 
 def test_containment_detects_clear_miss():
     cfg = SignatureConfig()
-    cand = vertex_bit_vector([0], cfg)
-    query = vertex_bit_vector([7], cfg)  # different group under m=5
+    cand = build_bit_vectors([[0]], cfg)[0]
+    query = build_bit_vectors([[7]], cfg)[0]  # different group under m=5
     assert not contains(cand, query)
 
 
 def test_unpack_bits_matches_manual_extraction():
     cfg = SignatureConfig(group_count=2, bits_per_group=12)
-    bv = vertex_bit_vector([0, 3, 7, 10], cfg)
+    bv = build_bit_vectors([[0, 3, 7, 10]], cfg)[0]
     flat = unpack_bits(bv[None, ...], cfg)[0]
     assert flat.shape == (2 * 12,)
     for grp in range(2):
