@@ -44,6 +44,7 @@ from .signatures import (
     SignatureConfig,
     build_aux,
     build_bit_vectors,
+    exact_keywords,
     hash_keyword,
     keyword_group,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "keyword_group",
     "hash_keyword",
     "build_bit_vectors",
+    "exact_keywords",
     "build_aux",
     # pruning
     "QuerySideData",

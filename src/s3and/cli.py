@@ -29,7 +29,7 @@ from .semantics import (
     oracle_search,
     sort_answers,
 )
-from .signatures import SignatureConfig
+from .signatures import SignatureConfig, exact_keywords
 from .workbench import (
     BenchConfig,
     SyntheticSpec,
@@ -192,6 +192,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
         f"built index over {g.vertex_count} vertices in {built_ms:.0f} ms "
         f"({index.node_count()} nodes, depth {index.depth()}) -> {args.out}"
     )
+    # a query keyword that shares its bit is rechecked against exact sets
+    domain = g.keyword_domain_size
+    shared = domain - len(exact_keywords(sig, domain))
+    print(f"{shared} of {domain} keywords share a signature bit")
     return 0
 
 

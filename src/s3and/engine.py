@@ -6,6 +6,14 @@ recheck candidates against exact keyword sets, drop candidates that lack
 neighbor support, order query vertices into a connected plan, and backtrack
 over the plan to enumerate answer mappings.
 
+The recheck is needed only where signature bits can collide. A vertex
+signature has a bit only if the vertex carries a domain keyword that hashes
+to it, so when no other domain keyword shares a query keyword's bit,
+containing the bit means carrying the keyword. A query vertex all of whose
+keywords are such exact keywords (:func:`~s3and.signatures.exact_keywords`)
+keeps its traversal candidates as they are; the others, including any with
+a keyword id past the graph's domain, are rechecked.
+
 Neighbor support is the candidate-space refinement of GraphQL, CFL-Match
 and DAF, relaxed by the ``sigma`` budget. In an answer every query vertex
 maps to one of its candidates, so if no candidate of a query neighbor
@@ -17,7 +25,8 @@ edges, since each counts at both ends, so an answer has at most
 ``sigma // 2`` of them and a pair's bumps are among those. Dropping a
 candidate only removes support from others, so the rule is applied until
 nothing changes; since it only drops pairs no answer uses, the answers
-stay the same.
+stay the same. A query vertex that needs just one supported neighbor tests
+each candidate once, against the union of its neighbors' candidates.
 
 Backtracking keeps each pair's neighbor-difference count as the mapping
 grows. A count can only grow as the mapping is extended, so the bound that
@@ -73,6 +82,7 @@ from .semantics import (
     is_answer,
     sort_answers,
 )
+from .signatures import exact_keywords
 
 __all__ = [
     "Ablation",
@@ -138,6 +148,8 @@ class QueryStats:
     distinct_vertex_sets: int
     # (query vertex, candidate) pairs the neighbor-support filter removed
     support_killed: int = 0
+    # traversal candidates the exact keyword recheck removed
+    hash_false_positives: int = 0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -211,19 +223,18 @@ def collect_candidates(
     return candidates, int(np.count_nonzero(seen))
 
 
+def _containing(g: DataGraph, need: frozenset[int], cand: np.ndarray) -> np.ndarray:
+    keyword_sets = g.keyword_sets
+    return np.array(
+        [v for v in cand.tolist() if need <= keyword_sets[v]], dtype=np.int64
+    )
+
+
 def exact_keyword_filter(
     g: DataGraph, q: QueryGraph, candidates: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Drop hash-collision survivors: keep only exact keyword containment."""
-    keyword_sets = g.keyword_sets
-    out = []
-    for need, cand in zip(q.keyword_sets, candidates):
-        out.append(
-            np.array(
-                [v for v in cand.tolist() if need <= keyword_sets[v]], dtype=np.int64
-            )
-        )
-    return out
+    return [_containing(g, need, c) for need, c in zip(q.keyword_sets, candidates)]
 
 
 def neighbor_support_filter(
@@ -240,9 +251,12 @@ def neighbor_support_filter(
     a bump to ``(qj, v)`` in every mapping through it. A pair can take
     ``sigma`` bumps under MAX and ``sigma // 2`` under SUM, so ``v`` is
     dropped past that many. Dropping a candidate can leave others without
-    support, so the rule runs on a worklist until nothing changes. Returns
-    the surviving candidates as lists, in their given order, and the number
-    of pairs dropped.
+    support, so the rule runs on a worklist until nothing changes. A query
+    vertex with exactly one neighbor more than that needs one supported
+    neighbor, so its candidates are tested against the union of the
+    neighbors' candidates instead of one neighbor at a time. Returns the
+    surviving candidates as lists, in their given order, and the number of
+    pairs dropped.
     """
     slack = sigma if aggregate is AggregateKind.MAX else sigma // 2
     adjacency = g.adjacency_sets
@@ -257,11 +271,15 @@ def neighbor_support_filter(
         qj = pending.pop()
         queued.discard(qj)
         others = [cand_sets[ql] for ql in nbrs[qj]]
-        keep = [
-            v
-            for v in cand_lists[qj]
-            if sum(map(adjacency[v].isdisjoint, others)) <= slack
-        ]
+        if len(others) == slack + 1:
+            union = set().union(*others)
+            keep = [v for v in cand_lists[qj] if not adjacency[v].isdisjoint(union)]
+        else:
+            keep = [
+                v
+                for v in cand_lists[qj]
+                if sum(map(adjacency[v].isdisjoint, others)) <= slack
+            ]
         if len(keep) == len(cand_lists[qj]):
             continue
         killed += len(cand_lists[qj]) - len(keep)
@@ -484,8 +502,11 @@ def run_query(
     The index must have been built over ``g``: a graph with another vertex
     count, keyword table or fingerprint raises ``ValueError``. The result's
     ``candidates`` and the candidate stats are the rechecked index
-    candidates; what the neighbor-support filter drops from them is counted
-    in ``stats.support_killed``.
+    candidates; only the query vertices with a keyword outside
+    :func:`~s3and.signatures.exact_keywords` are rechecked, and what the
+    recheck drops is counted in ``stats.hash_false_positives``. What the
+    neighbor-support filter drops from them is counted in
+    ``stats.support_killed``.
     """
     if g.vertex_count != index.vertex_count:
         raise ValueError(
@@ -500,7 +521,11 @@ def run_query(
     q = spec.query
     qside = build_query_side(q, index.sig_config)
     raw, visited = collect_candidates(index, qside, spec.sigma, degrees, ablation)
-    candidates = exact_keyword_filter(g, q, raw)
+    exact = exact_keywords(index.sig_config, g.keyword_domain_size)
+    candidates = [
+        c if exact.issuperset(need) else _containing(g, need, c)
+        for need, c in zip(q.keyword_sets, raw)
+    ]
     sizes = [len(c) for c in candidates]
     total_pairs = g.vertex_count * q.vertex_count
     power = 1.0 - (sum(sizes) / total_pairs) if total_pairs else 0.0
@@ -526,5 +551,6 @@ def run_query(
         answers=len(answers),
         distinct_vertex_sets=len({a.vertex_set for a in answers}),
         support_killed=killed,
+        hash_false_positives=sum(map(len, raw)) - sum(sizes),
     )
     return QueryResult(answers=answers, stats=stats, candidates=candidates)

@@ -290,13 +290,12 @@ def _cm_partitioning_detail(
     cfg: IndexConfig,
     bits: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], float, float]:
-    """Returns (parts, best cost, initial cost of the winning restart)."""
+) -> tuple[list[np.ndarray], float]:
+    """Returns (parts, cost of the parts)."""
     members = np.asarray(members, dtype=np.int64)
     if len(members) <= n:
         parts = [members[i : i + 1] for i in range(len(members))]
-        cost = partition_cost(parts, bits)
-        return parts, cost, cost
+        return parts, partition_cost(parts, bits)
     # below the member count, so every part is strictly smaller than the split
     cap = min(math.ceil((1.0 + cfg.gamma) * len(members) / n), len(members) - 1)
     rows = bits[members]
@@ -307,13 +306,12 @@ def _cm_partitioning_detail(
 
     best_assign: np.ndarray | None = None
     best_cost = math.inf
-    best_init_cost = math.inf
     for _ in range(cfg.global_iter):
         centers = rng.choice(len(members), size=n, replace=False)
         centroids = rows[centers].astype(np.float32, copy=True)
         assign = nearest(centroids)
         counts, sums = _column_sums(rows, assign, n)
-        cost = init_cost = _cost(counts, sums)
+        cost = _cost(counts, sums)
         for _ in range(cfg.local_iter):
             # each part's mean row; an empty part keeps its previous centroid
             filled = counts > 0
@@ -326,9 +324,9 @@ def _cm_partitioning_detail(
             else:
                 break
         if cost < best_cost:
-            best_assign, best_cost, best_init_cost = assign, cost, init_cost
+            best_assign, best_cost = assign, cost
     parts = [members[best_assign == p] for p in range(n)]
-    return parts, best_cost, best_init_cost
+    return parts, best_cost
 
 
 def cm_partitioning(
@@ -344,8 +342,17 @@ def cm_partitioning(
     returns exactly ``n`` parts (some possibly empty), each within the
     ceiling capacity bound.
     """
-    parts, _, _ = _cm_partitioning_detail(members, n, cfg, bits, rng)
-    return parts
+    return _cm_partitioning_detail(members, n, cfg, bits, rng)[0]
+
+
+def _split(
+    members: np.ndarray, cfg: IndexConfig, bits: np.ndarray, rng: np.random.Generator
+) -> np.ndarray | list:
+    """A leaf's members, or the list of an internal node's children."""
+    if len(members) <= cfg.fanout:
+        return members
+    parts = cm_partitioning(members, cfg.fanout, cfg, bits, rng)
+    return [_split(part, cfg, bits, rng) for part in parts if len(part) > 0]
 
 
 def build_index(
@@ -370,19 +377,11 @@ def build_index(
         raise ValueError("aux data was built with a different signature config")
     bits = unpack_bits(aux.bv, sig_config).astype(np.float32)
     rng = np.random.default_rng(index_config.seed)
-
-    def split(members: np.ndarray) -> np.ndarray | list:
-        """A leaf's members, or the list of an internal node's children."""
-        if len(members) <= index_config.fanout:
-            return members
-        parts = cm_partitioning(members, index_config.fanout, index_config, bits, rng)
-        return [split(part) for part in parts if len(part) > 0]
-
     # The splits run depth-first, which fixes the order of the random draws;
     # the nodes are then numbered breadth-first.
     child_counts: list[int] = []
     leaves: list[np.ndarray] = []
-    level = [split(np.arange(g.vertex_count, dtype=np.int64))]
+    level = [_split(np.arange(g.vertex_count, dtype=np.int64), index_config, bits, rng)]
     while level:
         child_counts += [len(n) if isinstance(n, list) else 0 for n in level]
         leaves += [n for n in level if not isinstance(n, list)]

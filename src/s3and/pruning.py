@@ -70,6 +70,8 @@ class QuerySideData:
 
 def build_query_side(q: QueryGraph, cfg: SignatureConfig) -> QuerySideData:
     nq = q.vertex_count
+    if nq == 0:
+        raise ValueError("query graph must have at least one vertex")
     # one extra keyword-free column: the zero signature that pads the slots
     words = build_bit_vectors([*q.keywords, ()], cfg).reshape(nq + 1, -1).T
     degrees = [len(a) for a in q.adjacency]

@@ -5,7 +5,9 @@ group count) and each group is summarized by a ``bits_per_group``-wide bit
 array; a keyword sets the bit at its 64-bit FNV-1a hash position within its
 group's array. Containment of the query bits in a vertex's bits is necessary
 for exact keyword containment but not sufficient (hash collisions), so these
-signatures may only ever rule candidates out, never in.
+signatures may only ever rule candidates out, never in. The exception is a
+keyword whose bit no other keyword of the domain sets: :func:`exact_keywords`
+lists those, and for them the bit alone decides containment.
 
 Arrays are packed little-endian into ``uint64`` words: bit ``p`` of a group
 lives in word ``p // 64`` at bit ``p % 64``. A vertex signature has shape
@@ -15,6 +17,7 @@ lives in word ``p // 64`` at bit ``p % 64``. A vertex signature has shape
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,6 +32,7 @@ __all__ = [
     "keyword_group",
     "hash_keyword",
     "build_bit_vectors",
+    "exact_keywords",
     "unpack_bits",
     "build_aux",
 ]
@@ -95,6 +99,31 @@ def _keyword_bits(cfg: SignatureConfig) -> dict[int, tuple[int, int]]:
     return {}
 
 
+def _keyword_bit(keyword: int, cfg: SignatureConfig) -> tuple[int, int]:
+    """A keyword's (flat word index, word mask), hashed once per config."""
+    known = _keyword_bits(cfg)
+    bit = known.get(keyword)
+    if bit is None:
+        pos = hash_keyword(keyword, cfg)
+        word = keyword_group(keyword, cfg) * cfg.words_per_group + pos // 64
+        bit = known[keyword] = (word, 1 << (pos % 64))
+    return bit
+
+
+@functools.lru_cache(maxsize=8)
+def exact_keywords(cfg: SignatureConfig, domain: int) -> frozenset[int]:
+    """The keyword ids below ``domain`` whose bit no other id below it sets.
+
+    In a graph whose keyword ids all lie below ``domain``, a vertex
+    signature has such a keyword's bit only if the vertex carries that
+    keyword, so for these ids bit containment is exact containment.
+    Memoized per config and domain size.
+    """
+    bits = [_keyword_bit(k, cfg) for k in range(domain)]
+    owners = collections.Counter(bits)
+    return frozenset(k for k, bit in enumerate(bits) if owners[bit] == 1)
+
+
 def build_bit_vectors(
     keyword_sets: Sequence[Iterable[int]], cfg: SignatureConfig
 ) -> np.ndarray:
@@ -105,11 +134,7 @@ def build_bit_vectors(
     for ws in keyword_sets:
         row = [0] * width
         for k in ws:
-            bit = known.get(k)
-            if bit is None:
-                pos = hash_keyword(k, cfg)
-                word = keyword_group(k, cfg) * cfg.words_per_group + pos // 64
-                bit = known[k] = (word, 1 << (pos % 64))
+            bit = known.get(k) or _keyword_bit(k, cfg)
             row[bit[0]] |= bit[1]
         rows.append(row)
     return np.array(rows, dtype=np.uint64).reshape(

@@ -85,7 +85,9 @@ def test_query_stats_json_and_flags(team_files, tmp_path, capsys):
         "answers",
         "distinct_vertex_sets",
         "support_killed",
+        "hash_false_positives",
     }
+    assert stats["hash_false_positives"] == 0
     assert stats["answers"] == len(default_out.splitlines())
 
     assert run(capsys, *base_args, "--ablation", "ks") == default_out
@@ -220,6 +222,19 @@ def test_non_finite_gamma_is_a_one_line_error(one_keyword_graph, tmp_path, capsy
         ["index", "--graph", one_keyword_graph, "--out", tmp_path / "x.idx", "--gamma", gamma],
         "gamma must be finite",
     )
+
+
+def test_index_reports_keywords_sharing_a_bit(team_files, tmp_path, capsys):
+    graph, _ = team_files
+    domain = load_graph(graph).keyword_domain_size
+    out = run(capsys, "index", "--graph", graph, "--out", tmp_path / "a.idx")
+    assert f"0 of {domain} keywords share a signature bit" in out
+    # one group of one bit: every keyword sets it
+    out = run(
+        capsys,
+        "index", "--graph", graph, "--out", tmp_path / "b.idx", "--m", 1, "--bits", 1,
+    )
+    assert f"{domain} of {domain} keywords share a signature bit" in out
 
 
 def test_index_at_full_split_capacity(one_keyword_graph, tmp_path, capsys):

@@ -16,6 +16,7 @@ from s3and import (
     build_query_side,
     collect_candidates,
     exact_keyword_filter,
+    exact_keywords,
     is_answer,
     keyword_feasible,
     make_graph,
@@ -26,6 +27,7 @@ from s3and import (
     refine,
     run_query,
 )
+from s3and import engine
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     mapping_set,
@@ -131,7 +133,9 @@ def test_hash_collisions_never_reach_the_candidates():
                     [v for v in c.tolist() if keyword_feasible(g, q, qj, v)]
                     for qj, c in enumerate(raw)
                 ]
-                false_positives += sum(map(len, raw)) - sum(map(len, expect))
+                dropped = sum(map(len, raw)) - sum(map(len, expect))
+                assert res.stats.hash_false_positives == dropped
+                false_positives += dropped
                 assert [c.tolist() for c in res.candidates] == expect
                 sizes = [len(c) for c in expect]
                 assert res.stats.candidates_per_qvertex == sizes
@@ -140,6 +144,58 @@ def test_hash_collisions_never_reach_the_candidates():
                 expect_answers = oracle_search(g, q, aggregate, sigma)
                 assert scored(res.answers) == scored(expect_answers)
     assert false_positives > 0
+
+
+def test_recheck_runs_only_where_a_query_keyword_shares_its_bit(monkeypatch):
+    # one group of 5 bits: k3 and k4 share bit 4, k0-k2 own theirs. Query
+    # vertex 0 holds k0 and k3, so its bits also pass v3 (k0, k4), and
+    # only it is rechecked; query vertices 1 and 2 keep the traversal's
+    # candidates as they are
+    cfg = SignatureConfig(group_count=1, bits_per_group=5)
+    names = ["k0", "k1", "k2", "k3", "k4"]
+    assert exact_keywords(cfg, len(names)) == {0, 1, 2}
+    g = make_graph(
+        6,
+        [(0, 1), (1, 2), (3, 1), (4, 5), (5, 2)],
+        [[0, 3], [1], [2], [0, 4], [3], [1, 2]],
+        names,
+    )
+    q = make_graph(3, [(0, 1), (1, 2)], [[0, 3], [1], [2]], names)
+    index = build_index(g, sig_config=cfg)
+    rechecked = []
+    containing = engine._containing
+    monkeypatch.setattr(
+        engine,
+        "_containing",
+        lambda g, need, cand: rechecked.append(need) or containing(g, need, cand),
+    )
+    for aggregate, sigma in itertools.product((MAX, SUM), range(3)):
+        rechecked.clear()
+        res = run_query(index, g, QuerySpec(query=q, aggregate=aggregate, sigma=sigma))
+        raw, _ = collect(index, g, q, sigma)
+        assert rechecked == [frozenset({0, 3})]
+        assert 3 in raw[0].tolist()
+        assert res.candidates[0].tolist() == [0]
+        assert res.stats.hash_false_positives == 1
+        assert [c.tolist() for c in res.candidates[1:]] == [c.tolist() for c in raw[1:]]
+        assert scored(res.answers) == scored(oracle_search(g, q, aggregate, sigma))
+
+
+def test_unknown_query_token_is_rechecked():
+    # one group of 4 bits: the four graph keywords own their bits, but the
+    # fresh id parse_query gives "zz" lands on a's bit
+    cfg = SignatureConfig(group_count=1, bits_per_group=4)
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)], [[0], [1], [0, 2], [3]], "abcd")
+    assert exact_keywords(cfg, 4) == {0, 1, 2, 3}
+    index = build_index(g, sig_config=cfg)
+    q = parse_query("t 2 1\nv 0 zz\nv 1 b\ne 0 1\n", g)
+    assert q.keywords[0] == (4,)
+    raw, _ = collect(index, g, q, sigma=1)
+    assert raw[0].tolist() == [0, 2]
+    res = run_query(index, g, QuerySpec(query=q, aggregate=MAX, sigma=1))
+    assert [c.tolist() for c in res.candidates] == [[], [1]]
+    assert res.stats.hash_false_positives == 2
+    assert res.answers == []
 
 
 def test_collect_rejects_negative_sigma(small_index, team_graph, team_query):
@@ -401,6 +457,38 @@ def test_support_filter_keeps_every_oracle_pair(support_cases):
                 assert vi in kept[qj], (aggregate, sigma, answer.mapping)
 
 
+def test_support_filter_matches_the_per_neighbor_count():
+    # random graphs, query shapes and candidate orders: the worklist filter,
+    # with its union test where one supported neighbor is enough, keeps what
+    # the sweep-by-sweep count keeps, in the given order
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        n = int(rng.integers(6, 30))
+        edges = {
+            (min(u, v), max(u, v))
+            for u, v in rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+            if u != v
+        }
+        g = make_graph(n, sorted(edges), [[0]] * n, ["k"])
+        nq = int(rng.integers(2, 7))
+        qedges = {
+            (min(a, b), max(a, b))
+            for a, b in rng.integers(0, nq, size=(2 * nq, 2))
+            if a != b
+        }
+        q = make_graph(nq, sorted(qedges), [[0]] * nq, ["k"])
+        cands = [
+            rng.permutation(n)[: int(rng.integers(0, n + 1))] for _ in range(nq)
+        ]
+        for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
+            kept, killed = neighbor_support_filter(g, q, cands, aggregate, sigma)
+            expect, dropped = reference_support_filter(g, q, cands, aggregate, sigma)
+            assert kept == [
+                [v for v in c.tolist() if v in set(e)] for c, e in zip(cands, expect)
+            ], (aggregate, sigma)
+            assert killed == dropped
+
+
 def test_support_filter_runs_to_a_fixpoint():
     # Query path 0-1-2-3 and the path 0-1-2-3 in the data, plus two chains
     # of decoys with keyword k<j> for query vertex j. Vertex 4 (k1) has no
@@ -601,6 +689,7 @@ def test_stats_dict_shape(small_index, team_graph, team_query):
         "answers",
         "distinct_vertex_sets",
         "support_killed",
+        "hash_false_positives",
     }
     assert d["answers"] == len(res.answers)
     assert d["wall_ms"] >= 0.0

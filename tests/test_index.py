@@ -1,5 +1,6 @@
 """Balanced signature tree: partitioning cost, construction, persistence."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -156,7 +157,7 @@ def test_split_cost_is_cost_of_returned_parts():
     for trial in range(8):
         count = int(rng.integers(8, 40))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float32)
-        parts, best, initial = _cm_partitioning_detail(
+        parts, best = _cm_partitioning_detail(
             np.arange(count), 3, IndexConfig(fanout=3), bits, np.random.default_rng(trial)
         )
         assert best == partition_cost(parts, bits)
@@ -303,13 +304,21 @@ def test_cm_deterministic_for_fixed_rng_seed():
 
 
 def test_cm_refinement_never_worse_than_initial():
+    # the first restart's initial split: the first draw of the same rng
+    # picks its centers, and every member goes to its nearest one
     rng = np.random.default_rng(9)
+    cfg = IndexConfig(fanout=3)
     for trial in range(8):
         count = int(rng.integers(8, 30))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float64)
-        _, best, initial = _cm_partitioning_detail(
-            np.arange(count), 3, IndexConfig(fanout=3), bits, np.random.default_rng(trial)
+        _, best = _cm_partitioning_detail(
+            np.arange(count), 3, cfg, bits, np.random.default_rng(trial)
         )
+        centers = np.random.default_rng(trial).choice(count, size=3, replace=False)
+        dist = _distance_matrix(bits, bits.sum(axis=1), bits[centers].astype(np.float32))
+        cap = min(math.ceil((1.0 + cfg.gamma) * count / 3), count - 1)
+        assign = _assign_capacitated(dist, cap)
+        initial = partition_cost([np.flatnonzero(assign == p) for p in range(3)], bits)
         assert best <= initial
 
 
@@ -322,6 +331,18 @@ def test_build_fixture_root_splits_into_fanout_parts(team_graph):
     assert index.child_counts.tolist() == [4, 0, 0, 0, 0]
     assert index.leaf_sizes.size == 4
     assert sorted(index.permutation.tolist()) == list(range(12))
+
+
+def test_build_leaves_no_reference_cycle(team_graph):
+    # the signature matrix the splits read must go when the build returns,
+    # not wait for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        build_index(team_graph, index_config=IndexConfig(fanout=4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_small_graph_is_single_leaf(team_graph):

@@ -59,6 +59,11 @@ def test_degree_shortfall_formula():
     assert degree_shortfall(degrees, [0, 2], q_degrees, [2, 0]).tolist() == [0, -1]
 
 
+def test_query_side_rejects_a_query_without_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        build_query_side(make_graph(0, [], [], ["a"]), CFG)
+
+
 def test_query_side_layout(team_side, team_query):
     assert team_side.vertex_count == 5
     assert list(team_side.degrees) == [2, 2, 3, 3, 2]

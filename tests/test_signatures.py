@@ -10,6 +10,7 @@ from s3and import (
     SignatureConfig,
     build_aux,
     build_bit_vectors,
+    exact_keywords,
     hash_keyword,
     keyword_contained,
     keyword_group,
@@ -168,3 +169,29 @@ def test_signature_config_validation():
     with pytest.raises(ValueError):
         SignatureConfig(bits_per_group=0)
     assert SignatureConfig(bits_per_group=100).words_per_group == 2
+
+
+def brute_force_exact(cfg: SignatureConfig, domain: int) -> set[int]:
+    """Ids below ``domain`` alone on their (group, position), from a bit map."""
+    owners: dict[tuple[int, int], list[int]] = {}
+    for k in range(domain):
+        owners.setdefault((keyword_group(k, cfg), hash_keyword(k, cfg)), []).append(k)
+    return {ks[0] for ks in owners.values() if len(ks) == 1}
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_exact_keywords_match_bit_map_one_group(bits):
+    cfg = SignatureConfig(group_count=1, bits_per_group=bits)
+    for domain in range(0, 13):
+        assert exact_keywords(cfg, domain) == brute_force_exact(cfg, domain)
+    # more ids than bits: some must share
+    assert len(exact_keywords(cfg, bits + 1)) < bits + 1
+
+
+def test_exact_keywords_match_bit_map_default_config():
+    cfg = SignatureConfig()
+    for domain in (1, 10, 50, 1000):
+        assert exact_keywords(cfg, domain) == brute_force_exact(cfg, domain)
+    # the benchmark domains have no shared bit; 1,000 ids in 320 bits do
+    assert exact_keywords(cfg, 50) == frozenset(range(50))
+    assert len(exact_keywords(cfg, 1000)) < 320
