@@ -49,10 +49,10 @@ print(f"mean pruning power: {np.mean(powers):8.4f}")
 # and the neighborhood bound shave off most of the rest.
 print("\npruning power by predicate stack (one query):")
 spec = QuerySpec(query=queries[0], aggregate=AggregateKind.MAX, sigma=1)
-for level in Ablation.LEVELS:
-    res = run_query(index, g, spec, ablation=Ablation.parse(level))
+for level in Ablation:
+    res = run_query(index, g, spec, ablation=level)
     print(
-        f"  {level:<12} power {res.stats.pruning_power:.4f}   "
+        f"  {level.value:<12} power {res.stats.pruning_power:.4f}   "
         f"nodes visited {res.stats.nodes_visited:4d}   "
         f"candidates {res.stats.candidates_per_qvertex}"
     )

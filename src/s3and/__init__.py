@@ -21,7 +21,6 @@ from .graph import (
     load_graph,
     load_query,
     make_graph,
-    neighbors,
     parse_graph,
     parse_query,
     save_graph,
@@ -106,7 +105,6 @@ __all__ = [
     "load_query",
     "save_graph",
     "format_graph",
-    "neighbors",
     "induced_subgraph",
     "is_connected",
     # semantics and the oracle

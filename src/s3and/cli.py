@@ -22,13 +22,7 @@ from pathlib import Path
 from .engine import Ablation, QueryStats, run_query
 from .graph import load_graph, load_query, save_graph
 from .index import IndexConfig, build_index, load_index, save_index
-from .semantics import (
-    AggregateKind,
-    QuerySpec,
-    format_answers,
-    oracle_search,
-    sort_answers,
-)
+from .semantics import AggregateKind, QuerySpec, format_answers, oracle_search
 from .signatures import SignatureConfig, exact_keywords
 from .workbench import (
     BenchConfig,
@@ -96,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_query_spec_args(p)
     p.add_argument(
         "--ablation",
-        choices=list(Ablation.LEVELS),
-        default="ks+lb+tight",
+        choices=[a.value for a in Ablation],
+        default=Ablation.KS_LB_TIGHT.value,
         help="which pruning stages to apply",
     )
 
@@ -119,7 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to one or more sweeps (default: all)",
     )
     p.add_argument(
-        "--ablation", choices=list(Ablation.LEVELS), default="ks+lb+tight"
+        "--ablation",
+        choices=[a.value for a in Ablation],
+        default=Ablation.KS_LB_TIGHT.value,
     )
     p.add_argument("--seed", type=int, default=0)
 
@@ -200,11 +196,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g, spec = _load_pair(args)
     index = load_index(args.index)
-    q = load_query(args.query, g)
-    spec = QuerySpec(query=q, aggregate=AggregateKind.parse(args.agg), sigma=args.sigma)
-    result = run_query(index, g, spec, ablation=Ablation.parse(args.ablation))
+    result = run_query(index, g, spec, ablation=Ablation(args.ablation))
     sys.stdout.write(format_answers(result.answers))
     _write_stats(args.stats_json, result.stats)
     return 0
@@ -221,7 +215,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g, spec = _load_pair(args)
     t0 = time.perf_counter()
-    answers = sort_answers(oracle_search(g, spec.query, spec.aggregate, spec.sigma))
+    answers = oracle_search(g, spec.query, spec.aggregate, spec.sigma)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     sys.stdout.write(format_answers(answers))
     stats = QueryStats(
@@ -241,7 +235,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         base=SyntheticSpec(vertex_count=args.vertices),
         workload=WorkloadSpec(query_count=args.queries),
         sweeps=tuple(args.sweep) if args.sweep else BenchConfig().sweeps,
-        ablation=Ablation.parse(args.ablation),
+        ablation=Ablation(args.ablation),
         seed=args.seed,
     )
     rows = run_benchmark(cfg)

@@ -60,6 +60,7 @@ alone.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -97,43 +98,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ablation:
+class Ablation(enum.Enum):
     """Which pruning predicates participate in candidate collection.
 
-    ``keyword`` is the signature containment check (vertex and node level),
-    ``lb_basic`` the degree-shortfall bound, ``lb_tight`` the
-    neighborhood-signature bound (vertex and node level). Keyword pruning is
-    always on, the degree bound stacks on it and the tight bound on both,
-    so ``lb_tight`` without ``lb_basic`` names no level and raises
-    ``ValueError``.
+    Keyword pruning, the signature containment check at node and vertex
+    level, is always on. ``KS_LB`` stacks the degree-shortfall bound on it
+    and ``KS_LB_TIGHT`` also the neighborhood-signature bound.
     """
 
-    lb_basic: bool = True
-    lb_tight: bool = True
-
-    LEVELS = ("ks", "ks+lb", "ks+lb+tight")
-
-    def __post_init__(self) -> None:
-        if self.lb_tight and not self.lb_basic:
-            raise ValueError(f"lb_tight needs lb_basic, expected one of {self.LEVELS}")
-
-    @classmethod
-    def parse(cls, name: str) -> "Ablation":
-        low = name.strip().lower()
-        if low == "ks":
-            return cls(lb_basic=False, lb_tight=False)
-        if low == "ks+lb":
-            return cls(lb_basic=True, lb_tight=False)
-        if low == "ks+lb+tight":
-            return cls(lb_basic=True, lb_tight=True)
-        raise ValueError(f"unknown ablation {name!r}, expected one of {cls.LEVELS}")
+    KS = "ks"
+    KS_LB = "ks+lb"
+    KS_LB_TIGHT = "ks+lb+tight"
 
     @property
-    def name(self) -> str:
-        if self.lb_tight:
-            return "ks+lb+tight"
-        return "ks+lb" if self.lb_basic else "ks"
+    def lb_basic(self) -> bool:
+        return self is not Ablation.KS
+
+    @property
+    def lb_tight(self) -> bool:
+        return self is Ablation.KS_LB_TIGHT
 
 
 @dataclass
@@ -167,7 +150,7 @@ def collect_candidates(
     qside: QuerySideData,
     sigma: int,
     degrees: np.ndarray,
-    ablation: Ablation = Ablation(),
+    ablation: Ablation = Ablation.KS_LB_TIGHT,
 ) -> tuple[list[np.ndarray], int]:
     """Traverse the tree, returning candidate vertex ids per query vertex.
 
@@ -196,6 +179,7 @@ def collect_candidates(
     qv = np.arange(nq, dtype=np.int64)
     hit_v: list[np.ndarray] = []
     hit_q: list[np.ndarray] = []
+    tight = ablation.lb_tight
     while nodes.size:
         # (entry, query vertex) pairs for every row entry of each live pair
         rows = index.entry_table.take(nodes, axis=0)
@@ -203,7 +187,7 @@ def collect_candidates(
         e, eq = rows[valid], qv.repeat(rows.shape[1])[valid.ravel()]
         keep = keyword_contained(index.entry_bv_neg, e, q_bits, eq)
         e, eq = e[keep], eq[keep]
-        if ablation.lb_tight:
+        if tight:
             keep = uncovered_neighbors(index.entry_nbv_neg, e, q_nbr, eq) <= sigma
             e, eq = e[keep], eq[keep]
         hit = e >= n
@@ -292,23 +276,18 @@ def neighbor_support_filter(
     return cand_lists, killed
 
 
-def make_query_plan(
-    q: QueryGraph, candidates: Sequence[Sequence[int]], prefer_small: bool = True
-) -> list[int]:
+def make_query_plan(q: QueryGraph, candidates: Sequence[Sequence[int]]) -> list[int]:
     """Order query vertices for backtracking.
 
     Starts from the vertex with the fewest candidates and repeatedly appends
     a neighbor of the plan so far, again favoring few candidates (ties to the
     lowest id), so every prefix of the plan is connected in the query.
-    ``prefer_small=False`` inverts the size preference; any connected order
-    yields the same answers, so the flag exists for order-invariance checks.
     """
     nq = q.vertex_count
     sizes = [len(c) for c in candidates]
-    sign = 1 if prefer_small else -1
 
     def key(j: int) -> tuple[int, int]:
-        return sign * sizes[j], j
+        return sizes[j], j
 
     plan = [min(range(nq), key=key)]
     chosen = set(plan)
@@ -494,8 +473,7 @@ def run_query(
     index: SubgraphIndex,
     g: DataGraph,
     spec: QuerySpec,
-    ablation: Ablation = Ablation(),
-    plan: Sequence[int] | None = None,
+    ablation: Ablation = Ablation.KS_LB_TIGHT,
 ) -> QueryResult:
     """Full pipeline: traverse, recheck keywords, filter, plan, refine, measure.
 
@@ -532,12 +510,7 @@ def run_query(
     supported, killed = neighbor_support_filter(
         g, q, candidates, spec.aggregate, spec.sigma
     )
-    if plan is None:
-        plan = make_query_plan(q, supported)
-    else:
-        plan = list(plan)
-        if sorted(plan) != list(range(q.vertex_count)):
-            raise ValueError("plan must order every query vertex exactly once")
+    plan = make_query_plan(q, supported)
     if all(supported):
         answers = refine(g, q, plan, supported, spec.aggregate, spec.sigma)
     else:

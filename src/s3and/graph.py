@@ -42,7 +42,6 @@ __all__ = [
     "save_graph",
     "parse_query",
     "load_query",
-    "neighbors",
     "induced_subgraph",
     "is_connected",
 ]
@@ -103,9 +102,6 @@ class DataGraph:
     @property
     def keyword_domain_size(self) -> int:
         return len(self.keyword_names)
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.adjacency[v])
 
     @functools.cached_property
     def degree_vector(self) -> np.ndarray:
@@ -319,11 +315,6 @@ def parse_query(text: str, base: DataGraph) -> QueryGraph:
 
 def load_query(path: str | Path, base: DataGraph) -> QueryGraph:
     return parse_query(Path(path).read_text(encoding="utf-8"), base)
-
-
-def neighbors(g: DataGraph, v: VertexId) -> tuple[int, ...]:
-    """Sorted ids adjacent to ``v``."""
-    return g.adjacency[v]
 
 
 def induced_subgraph(g: DataGraph, vs: Iterable[VertexId]) -> frozenset[Edge]:

@@ -99,6 +99,11 @@ class IndexConfig:
             raise ValueError("gamma must be finite and non-negative")
         if self.global_iter < 1 or self.local_iter < 1:
             raise ValueError("iteration counts must be at least 1")
+        # the index file stores the counts as uint32 and the seed as int64
+        if max(self.fanout, self.global_iter, self.local_iter) >= 2**32:
+            raise ValueError("fanout and iteration counts must be below 2**32")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must be in [0, 2**63)")
 
 
 @dataclass(eq=False)
@@ -284,18 +289,22 @@ def _assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
     return np.array(picks, dtype=np.int64)
 
 
-def _cm_partitioning_detail(
+def cm_partitioning(
     members: np.ndarray,
     n: int,
     cfg: IndexConfig,
     bits: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], float]:
-    """Returns (parts, cost of the parts)."""
+) -> list[np.ndarray]:
+    """Split ``members`` into up to ``n`` balanced parts by signature similarity.
+
+    With ``len(members) <= n`` every member gets its own part. Otherwise
+    returns exactly ``n`` parts (some possibly empty), each within the
+    ceiling capacity bound.
+    """
     members = np.asarray(members, dtype=np.int64)
     if len(members) <= n:
-        parts = [members[i : i + 1] for i in range(len(members))]
-        return parts, partition_cost(parts, bits)
+        return [members[i : i + 1] for i in range(len(members))]
     # below the member count, so every part is strictly smaller than the split
     cap = min(math.ceil((1.0 + cfg.gamma) * len(members) / n), len(members) - 1)
     rows = bits[members]
@@ -325,24 +334,7 @@ def _cm_partitioning_detail(
                 break
         if cost < best_cost:
             best_assign, best_cost = assign, cost
-    parts = [members[best_assign == p] for p in range(n)]
-    return parts, best_cost
-
-
-def cm_partitioning(
-    members: np.ndarray,
-    n: int,
-    cfg: IndexConfig,
-    bits: np.ndarray,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Split ``members`` into up to ``n`` balanced parts by signature similarity.
-
-    With ``len(members) <= n`` every member gets its own part. Otherwise
-    returns exactly ``n`` parts (some possibly empty), each within the
-    ceiling capacity bound.
-    """
-    return _cm_partitioning_detail(members, n, cfg, bits, rng)[0]
+    return [members[best_assign == p] for p in range(n)]
 
 
 def _split(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import DataGraph, QueryGraph, is_connected
 
@@ -143,23 +143,21 @@ def oracle_search(
     q: QueryGraph,
     aggregate: AggregateKind,
     sigma: int,
-    candidates: Sequence[Sequence[int]] | None = None,
 ) -> list[MatchAnswer]:
     """Exhaustive reference search, independent of signatures and the index.
 
-    Backtracks over per-query-vertex candidate lists (exact keyword
-    containment scans unless ``candidates`` is supplied). Partial mappings are
-    cut off once their partial aggregate already exceeds ``sigma``; a pair's
-    neighbor-difference count can only grow as more neighbors get mapped, so
-    the cutoff never loses an answer. Full mappings are still accepted through
-    :func:`is_answer`, keeping the final word with the definition itself.
+    Backtracks over per-query-vertex candidate lists, found by exact keyword
+    containment scans. Partial mappings are cut off once their partial
+    aggregate already exceeds ``sigma``; a pair's neighbor-difference count
+    can only grow as more neighbors get mapped, so the cutoff never loses an
+    answer. Full mappings are still accepted through :func:`is_answer`,
+    keeping the final word with the definition itself.
     """
     nq = q.vertex_count
-    if candidates is None:
-        candidates = [
-            [vi for vi in range(g.vertex_count) if keyword_feasible(g, q, qj, vi)]
-            for qj in range(nq)
-        ]
+    candidates = [
+        [vi for vi in range(g.vertex_count) if keyword_feasible(g, q, qj, vi)]
+        for qj in range(nq)
+    ]
     if any(not c for c in candidates):
         return []
 

@@ -55,6 +55,11 @@ class SignatureConfig:
             raise ValueError("group_count must be at least 1")
         if self.bits_per_group < 1:
             raise ValueError("bits_per_group must be at least 1")
+        # the index file stores the counts as uint32 and the seed as int64
+        if max(self.group_count, self.bits_per_group) >= 2**32:
+            raise ValueError("group_count and bits_per_group must be below 2**32")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError("seed must be in [-2**63, 2**63)")
 
     @property
     def words_per_group(self) -> int:

@@ -65,6 +65,11 @@ DESK_SCALE_LIMIT = 100_000
 
 DEFAULT_SIGMA = {AggregateKind.MAX: 1, AggregateKind.SUM: 3}
 
+# every cell runs under these; the JSON report echoes them
+DEFAULT_AGGREGATE = AggregateKind.MAX
+SIG_CONFIG = SignatureConfig()
+INDEX_CONFIG = IndexConfig()
+
 DEFAULT_SWEEPS: dict[str, tuple] = {
     "sigma_max": (1, 2, 3, 4),
     "sigma_sum": (2, 3, 4, 5),
@@ -264,10 +269,7 @@ class BenchConfig:
     base: SyntheticSpec = SyntheticSpec()
     workload: WorkloadSpec = WorkloadSpec()
     sweeps: tuple[str, ...] = tuple(DEFAULT_SWEEPS)
-    default_aggregate: AggregateKind = AggregateKind.MAX
-    sig_config: SignatureConfig = SignatureConfig()
-    index_config: IndexConfig = IndexConfig()
-    ablation: Ablation = Ablation()
+    ablation: Ablation = Ablation.KS_LB_TIGHT
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -305,10 +307,10 @@ class _Cell:
 
 def _build_cells(cfg: BenchConfig) -> list[_Cell]:
     cells: list[_Cell] = []
-    default_sigma = DEFAULT_SIGMA[cfg.default_aggregate]
+    default_sigma = DEFAULT_SIGMA[DEFAULT_AGGREGATE]
     for sweep in cfg.sweeps:
         for value in DEFAULT_SWEEPS[sweep]:
-            agg, sigma = cfg.default_aggregate, default_sigma
+            agg, sigma = DEFAULT_AGGREGATE, default_sigma
             gspec, wspec = cfg.base, cfg.workload
             if sweep == "sigma_max":
                 agg, sigma = AggregateKind.MAX, int(value)
@@ -337,7 +339,7 @@ def _run_cell(cell: _Cell, cfg: BenchConfig) -> BenchRow:
     gspec = replace(cell.graph_spec, seed=int(seeds[0]))
     wspec = replace(cell.workload_spec, seed=int(seeds[1]))
     g = generate_graph(gspec)
-    index = build_index(g, cfg.sig_config, cfg.index_config)
+    index = build_index(g, SIG_CONFIG, INDEX_CONFIG)
     queries = generate_workload(g, wspec)
     powers: list[float] = []
     engine_ms: list[float] = []
@@ -399,10 +401,10 @@ def write_bench_json(cfg: BenchConfig, rows: Sequence[BenchRow], path: str | Pat
             "graph": vars(cfg.base).copy(),
             "workload": vars(cfg.workload).copy(),
             "sweeps": list(cfg.sweeps),
-            "default_aggregate": cfg.default_aggregate.value,
-            "signature": vars(cfg.sig_config).copy(),
-            "index": vars(cfg.index_config).copy(),
-            "ablation": cfg.ablation.name,
+            "default_aggregate": DEFAULT_AGGREGATE.value,
+            "signature": vars(SIG_CONFIG).copy(),
+            "index": vars(INDEX_CONFIG).copy(),
+            "ablation": cfg.ablation.value,
             "seed": cfg.seed,
         },
         "rows": [

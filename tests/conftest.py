@@ -148,24 +148,42 @@ def random_instance(
     return g, q
 
 
-def reference_query_plan(
-    q: QueryGraph, candidates, prefer_small: bool = True
-) -> list[int]:
+def reference_query_plan(q: QueryGraph, candidates) -> list[int]:
     """The plan rule with the frontier rebuilt from the whole plan each step.
 
     The oracle for ``make_query_plan``, which grows its frontier as it goes.
     """
     nq = q.vertex_count
     sizes = [len(c) for c in candidates]
-    sign = 1 if prefer_small else -1
-    first = min(range(nq), key=lambda j: (sign * sizes[j], j))
+    first = min(range(nq), key=lambda j: (sizes[j], j))
     plan = [first]
     chosen = {first}
     while len(plan) < nq:
         frontier = {ql for j in plan for ql in q.adjacency[j]} - chosen
         if not frontier:
             raise ValueError("query graph is not connected")
-        nxt = min(frontier, key=lambda j: (sign * sizes[j], j))
+        nxt = min(frontier, key=lambda j: (sizes[j], j))
+        plan.append(nxt)
+        chosen.add(nxt)
+    return plan
+
+
+def alternative_plan(q: QueryGraph, plan_a: list[int]) -> list[int]:
+    """A connected order of ``q`` that starts elsewhere than ``plan_a``.
+
+    It starts at the lowest id other than ``plan_a[0]``, so ``q`` needs two
+    vertices or more, and grows from whichever frontier vertex has the
+    highest id. Any connected order yields the same answers, so refining
+    over both checks that the answers do not depend on the plan.
+    """
+    start = next(j for j in range(q.vertex_count) if j != plan_a[0])
+    plan = [start]
+    chosen = {start}
+    while len(plan) < q.vertex_count:
+        frontier = {ql for j in plan for ql in q.adjacency[j]} - chosen
+        if not frontier:
+            raise AssertionError("query not connected")
+        nxt = max(frontier)
         plan.append(nxt)
         chosen.add(nxt)
     return plan
@@ -441,7 +459,7 @@ def reference_candidates(
     qside: QuerySideData,
     sigma: int,
     degrees: np.ndarray,
-    ablation: Ablation = Ablation(),
+    ablation: Ablation = Ablation.KS_LB_TIGHT,
 ) -> tuple[list[np.ndarray], int]:
     """Per-node reference traversal: the oracle for ``collect_candidates``.
 

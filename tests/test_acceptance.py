@@ -42,6 +42,7 @@ from s3and import (
     load_index,
     make_query_plan,
     neighbor_difference,
+    neighbor_support_filter,
     oracle_search,
     refine,
     run_baseline,
@@ -52,6 +53,7 @@ from s3and import (
 from tests.conftest import (
     TEAM_MAPPING,
     TEAM_NDS,
+    alternative_plan,
     audit_structure,
     mapping_set,
     pair_contained,
@@ -152,12 +154,11 @@ def big_fixture():
 @pytest.fixture(scope="session")
 def ablation_powers(big_fixture):
     g, index, queries = big_fixture
-    powers = {level: [] for level in Ablation.LEVELS}
-    for level in Ablation.LEVELS:
-        ab = Ablation.parse(level)
+    powers = {level: [] for level in Ablation}
+    for level in Ablation:
         for q in queries:
             spec = QuerySpec(query=q, aggregate=MAX, sigma=1)
-            res = run_query(index, g, spec, ablation=ab)
+            res = run_query(index, g, spec, ablation=level)
             powers[level].append(res.stats.pruning_power)
     return {level: float(np.mean(vals)) for level, vals in powers.items()}
 
@@ -321,7 +322,7 @@ def test_criterion_05_index_structural_audit(tmp_path):
 
 
 def test_criterion_06_pruning_power_target(ablation_powers):
-    power = ablation_powers["ks+lb+tight"]
+    power = ablation_powers[Ablation.KS_LB_TIGHT]
     assert power >= 0.90, f"full-stack pruning power {power:.4f} below the 0.90 floor"
     if power < 0.945:
         warnings.warn(
@@ -363,7 +364,7 @@ def test_criterion_07_speedup_over_baseline():
 
 
 def test_criterion_08_ablation_monotonicity(ablation_powers):
-    ordered = [ablation_powers[level] for level in Ablation.LEVELS]
+    ordered = [ablation_powers[level] for level in Ablation]
     assert ordered[0] <= ordered[1] <= ordered[2]
     print(
         "\nACCEPTANCE 8 ablation monotonicity "
@@ -398,25 +399,6 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     print("\nACCEPTANCE 9 determinism and persistence: PASS")
 
 
-def _alternative_plan(q: QueryGraph, plan_a: list[int]) -> list[int]:
-    """A connected order that provably differs from ``plan_a``."""
-    start = next(j for j in range(q.vertex_count) if j != plan_a[0])
-    # the start may be anywhere, so grow a connected order from whichever
-    # frontier vertex has the highest id
-    plan = [start]
-    chosen = {start}
-    while len(plan) < q.vertex_count:
-        frontier = {ql for j in plan for ql in q.adjacency[j]} - chosen
-        if not frontier:
-            # the start's component is exhausted; only happens for
-            # disconnected queries, which the workload never produces
-            raise AssertionError("query not connected")
-        nxt = max(frontier)
-        plan.append(nxt)
-        chosen.add(nxt)
-    return plan
-
-
 def test_criterion_10_traversal_and_plan_invariance(pool, pool_indexes):
     for i, inst in enumerate(pool[:50]):
         g, q, sigma = inst.g, inst.q, inst.sigma
@@ -439,13 +421,13 @@ def test_criterion_10_traversal_and_plan_invariance(pool, pool_indexes):
             ref_answers = []
         assert mapping_set(res.answers) == mapping_set(ref_answers)
 
-        plan_a = make_query_plan(q, res.candidates, prefer_small=True)
-        plan_b = make_query_plan(q, res.candidates, prefer_small=False)
-        if plan_b == plan_a:
-            plan_b = _alternative_plan(q, plan_a)
+        # refining run_query's filtered candidates over another connected
+        # plan gives its answers again
+        supported, _ = neighbor_support_filter(g, q, res.candidates, MAX, sigma)
+        plan_a = make_query_plan(q, supported)
+        plan_b = alternative_plan(q, plan_a)
         assert plan_b != plan_a
-        res_a = run_query(index, g, spec, plan=plan_a)
-        res_b = run_query(index, g, spec, plan=plan_b)
-        assert mapping_set(res_a.answers) == mapping_set(res_b.answers)
-        assert mapping_set(res_a.answers) == mapping_set(res.answers)
+        for plan in (plan_a, plan_b):
+            answers = refine(g, q, plan, supported, MAX, sigma)
+            assert mapping_set(answers) == mapping_set(res.answers)
     print("\nACCEPTANCE 10 traversal and plan invariance (50 instances): PASS")

@@ -286,3 +286,24 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
         ],
         "truncated" if damage == "node_count_plus_one" else "digest mismatch",
     )
+
+
+@pytest.mark.parametrize(
+    "option, value, needle",
+    [
+        ("--fanout", 2**32, "fanout"),
+        ("--local-iter", 2**32, "iteration counts"),
+        ("--m", 2**32, "group_count"),
+        ("--seed", 2**63, "seed"),
+    ],
+)
+def test_config_past_the_index_header_is_a_one_line_error(
+    one_keyword_graph, tmp_path, capsys, option, value, needle
+):
+    # the header stores the counts as uint32 and the seeds as int64, so the
+    # configs refuse what it cannot hold before any build
+    idx = tmp_path / "x.idx"
+    assert_one_line_error(
+        capsys, ["index", "--graph", one_keyword_graph, "--out", idx, option, value], needle
+    )
+    assert not idx.exists()

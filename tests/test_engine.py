@@ -30,6 +30,7 @@ from s3and import (
 from s3and import engine
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
+    alternative_plan,
     mapping_set,
     pair_contained,
     pair_shortfall,
@@ -210,7 +211,7 @@ def test_plan_starts_at_rarest_and_stays_connected():
     q = make_graph(4, [(0, 1), (0, 2), (0, 3)], [[0]] * 4, ["k"])
     cands = [[9, 9, 9, 9, 9], [7], [1, 2, 3], [5, 6]]
     assert make_query_plan(q, cands) == [1, 0, 3, 2]
-    assert make_query_plan(q, cands, prefer_small=False) == [0, 2, 3, 1]
+    assert alternative_plan(q, [1, 0, 3, 2]) == [0, 3, 2, 1]
 
 
 def test_plan_breaks_ties_by_lowest_id():
@@ -252,10 +253,7 @@ def test_plan_matches_reference_on_random_queries():
     for _ in range(40):
         _, q = random_instance(rng, max_vertices=20, max_query=8)
         cands = [range(int(rng.integers(0, 4))) for _ in range(q.vertex_count)]
-        for prefer_small in (True, False):
-            assert make_query_plan(q, cands, prefer_small) == reference_query_plan(
-                q, cands, prefer_small
-            )
+        assert make_query_plan(q, cands) == reference_query_plan(q, cands)
 
 
 def test_plan_rejects_disconnected_query():
@@ -341,14 +339,19 @@ def scored(answers) -> list:
     return [(a.mapping, a.and_score) for a in answers]
 
 
+def both_plans(q, cands) -> list[list[int]]:
+    """The engine's plan and another connected order."""
+    plan = make_query_plan(q, cands)
+    return [plan, alternative_plan(q, plan)]
+
+
 def test_refine_look_ahead_is_lossless():
     # from either plan, refine (look-ahead included) returns the oracle's
     # mappings and scores in the oracle's order
     for g, q, cands in refine_instances():
         for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
             expect = scored(oracle_search(g, q, aggregate, sigma))
-            for prefer_small in (True, False):
-                plan = make_query_plan(q, cands, prefer_small=prefer_small)
+            for plan in both_plans(q, cands):
                 got = refine(g, q, plan, cands, aggregate, sigma)
                 assert scored(got) == expect, (aggregate, sigma, plan)
 
@@ -374,8 +377,7 @@ def test_refine_never_scores_an_over_budget_mapping(monkeypatch):
     monkeypatch.setattr("s3and.engine.is_answer", spy)
     for g, q, cands in refine_instances():
         for aggregate, sigma in itertools.product((MAX, SUM), range(5)):
-            for prefer_small in (True, False):
-                plan = make_query_plan(q, cands, prefer_small=prefer_small)
+            for plan in both_plans(q, cands):
                 refine(g, q, plan, cands, aggregate, sigma)
     assert checked
     assert over == []
@@ -521,7 +523,7 @@ def test_support_filter_runs_to_a_fixpoint():
             build_index(g),
             g,
             QuerySpec(query=q, aggregate=aggregate, sigma=sigma),
-            ablation=Ablation.parse("ks"),
+            ablation=Ablation.KS,
         )
         assert [a.mapping for a in res.answers] == [(0, 1, 2, 3)]
         assert res.stats.support_killed == 6
@@ -586,12 +588,6 @@ def test_run_query_rejects_foreign_keyword_table(small_index, team_graph, team_q
         run_query(small_index, renamed, QuerySpec(query=team_query, aggregate=MAX, sigma=2))
 
 
-def test_run_query_rejects_bad_plan(small_index, team_graph, team_query):
-    spec = QuerySpec(query=team_query, aggregate=MAX, sigma=2)
-    with pytest.raises(ValueError, match="plan"):
-        run_query(small_index, team_graph, spec, plan=[0, 1, 2, 3, 3])
-
-
 def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     # run_query and collect_candidates against the per-node reference walk,
     # at every ablation level and sigma 0-3. The team index is a single
@@ -611,16 +607,33 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     assert pair_contained(index.entry_bv_neg, entry, qside, 0)
     assert pair_uncovered(index.entry_nbv_neg, entry, qside, 0) == 0
     assert pair_shortfall(g.degree_vector, 0, qside, 0) == 2
-    assert collect(index, g, q, 1)[0][0].tolist() == [2]
-    assert collect(index, g, q, 1, ablation=Ablation.parse("ks"))[0][0].tolist() == [0, 2]
+    assert collect(index, g, q, 1, ablation=Ablation.KS)[0][0].tolist() == [0, 2]
+    for ab in (Ablation.KS_LB, Ablation.KS_LB_TIGHT):
+        assert collect(index, g, q, 1, ablation=ab)[0][0].tolist() == [2]
+    cases.append((g, q, index))
+    # a path centre v0 with the degree and the keyword of the query's
+    # centre, but whose neighbors all carry b where the query wants b and
+    # c: only the tight bound drops it, while v3 has both
+    names = ["a", "b", "c"]
+    edges = [(0, 1), (0, 2), (3, 4), (3, 5)]
+    g = make_graph(6, edges, [[0], [1], [1], [0], [1], [2]], names)
+    q = make_graph(3, [(0, 1), (0, 2)], [[0], [1], [2]], names)
+    index = build_index(g, index_config=IndexConfig(fanout=2))
+    qside = build_query_side(q, index.sig_config)
+    entry = vertex_entry(index, 0)
+    assert pair_contained(index.entry_bv_neg, entry, qside, 0)
+    assert pair_shortfall(g.degree_vector, 0, qside, 0) == 0
+    assert pair_uncovered(index.entry_nbv_neg, entry, qside, 0) == 1
+    for ab in (Ablation.KS, Ablation.KS_LB):
+        assert collect(index, g, q, 0, ablation=ab)[0][0].tolist() == [0, 3]
+    assert collect(index, g, q, 0, ablation=Ablation.KS_LB_TIGHT)[0][0].tolist() == [3]
     cases.append((g, q, index))
     for _ in range(8):
         g, q = random_instance(rng, max_vertices=150)
         cases.append((g, q, build_index(g, index_config=random_index_config(rng))))
     for g, q, index in cases:
         qside = build_query_side(q, index.sig_config)
-        for level in Ablation.LEVELS:
-            ab = Ablation.parse(level)
+        for ab in Ablation:
             for sigma in range(4):
                 spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
                 raw, _ = collect(index, g, q, sigma, ablation=ab)
@@ -644,37 +657,38 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
 
 
 def test_plan_choice_never_changes_answers(team_graph, team_query, small_index):
+    # refining run_query's filtered candidates over either plan gives its
+    # answers
     spec = QuerySpec(query=team_query, aggregate=SUM, sigma=4)
-    cands_res = run_query(small_index, team_graph, spec)
-    base = mapping_set(cands_res.answers)
-    for prefer_small in (True, False):
-        plan = make_query_plan(team_query, cands_res.candidates, prefer_small=prefer_small)
-        res = run_query(small_index, team_graph, spec, plan=plan)
-        assert mapping_set(res.answers) == base
+    res = run_query(small_index, team_graph, spec)
+    supported, _ = neighbor_support_filter(team_graph, team_query, res.candidates, SUM, 4)
+    for plan in both_plans(team_query, supported):
+        answers = refine(team_graph, team_query, plan, supported, SUM, 4)
+        assert mapping_set(answers) == mapping_set(res.answers)
 
 
 def test_ablation_levels_parse_and_round_trip():
-    assert Ablation.parse("ks") == Ablation(lb_basic=False, lb_tight=False)
-    assert Ablation.parse("KS+LB").name == "ks+lb"
-    assert Ablation.parse("ks+lb+tight") == Ablation()
+    assert [a.value for a in Ablation] == ["ks", "ks+lb", "ks+lb+tight"]
+    for level in Ablation:
+        assert Ablation(level.value) is level
     with pytest.raises(ValueError):
-        Ablation.parse("everything")
-    # the tight bound stacks on the degree bound; alone it names no level
-    with pytest.raises(ValueError):
-        Ablation(lb_basic=False, lb_tight=True)
-    for level in Ablation.LEVELS:
-        assert Ablation.parse(level).name == level
+        Ablation("everything")
+    # keyword pruning always; the degree bound, then the tight bound stack on it
+    assert [(a.lb_basic, a.lb_tight) for a in Ablation] == [
+        (False, False),
+        (True, False),
+        (True, True),
+    ]
 
 
 def test_ablation_only_changes_stats_not_answers(team_graph, team_query, small_index):
     spec = QuerySpec(query=team_query, aggregate=MAX, sigma=2)
-    results = {
-        level: run_query(small_index, team_graph, spec, ablation=Ablation.parse(level))
-        for level in Ablation.LEVELS
-    }
-    base = mapping_set(results["ks"].answers)
-    assert all(mapping_set(r.answers) == base for r in results.values())
-    powers = [results[level].stats.pruning_power for level in Ablation.LEVELS]
+    results = [
+        run_query(small_index, team_graph, spec, ablation=level) for level in Ablation
+    ]
+    base = mapping_set(results[0].answers)
+    assert all(mapping_set(r.answers) == base for r in results)
+    powers = [r.stats.pruning_power for r in results]
     assert powers == sorted(powers)
 
 

@@ -24,7 +24,6 @@ from s3and.index import (
     DIGEST_SIZE,
     _HEADER,
     _assign_capacitated,
-    _cm_partitioning_detail,
     _distance_matrix,
     partition_cost,
 )
@@ -152,16 +151,17 @@ def test_partition_cost_matches_definition(dtype):
 
 
 def test_split_cost_is_cost_of_returned_parts():
-    # the reported cost belongs to the split that is returned
+    # the cost of a returned split, from its float32 rows, is the reference's
     rng = np.random.default_rng(5)
     for trial in range(8):
         count = int(rng.integers(8, 40))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float32)
-        parts, best = _cm_partitioning_detail(
+        parts = cm_partitioning(
             np.arange(count), 3, IndexConfig(fanout=3), bits, np.random.default_rng(trial)
         )
-        assert best == partition_cost(parts, bits)
-        assert best == pytest.approx(reference_cost(parts, bits), rel=1e-9)
+        assert partition_cost(parts, bits) == pytest.approx(
+            reference_cost(parts, bits), rel=1e-9
+        )
 
 
 def test_partition_cost_identical_vectors_is_zero():
@@ -311,9 +311,8 @@ def test_cm_refinement_never_worse_than_initial():
     for trial in range(8):
         count = int(rng.integers(8, 30))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float64)
-        _, best = _cm_partitioning_detail(
-            np.arange(count), 3, cfg, bits, np.random.default_rng(trial)
-        )
+        parts = cm_partitioning(np.arange(count), 3, cfg, bits, np.random.default_rng(trial))
+        best = partition_cost(parts, bits)
         centers = np.random.default_rng(trial).choice(count, size=3, replace=False)
         dist = _distance_matrix(bits, bits.sum(axis=1), bits[centers].astype(np.float32))
         cap = min(math.ceil((1.0 + cfg.gamma) * count / 3), count - 1)

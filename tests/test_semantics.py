@@ -105,19 +105,6 @@ def test_oracle_equals_naive_enumeration():
             assert got == naive_answers(g, q, agg, sigma)
 
 
-def test_oracle_respects_candidate_override(team_graph, team_query):
-    full = oracle_search(team_graph, team_query, AggregateKind.MAX, 2)
-    narrowed = oracle_search(
-        team_graph,
-        team_query,
-        AggregateKind.MAX,
-        2,
-        candidates=[[0], [1], [2], [3], [4]],
-    )
-    assert mapping_set(narrowed) == [TEAM_MAPPING]
-    assert set(mapping_set(narrowed)) <= set(mapping_set(full))
-
-
 def test_aggregate_parse():
     assert AggregateKind.parse("max") is AggregateKind.MAX
     assert AggregateKind.parse("SUM") is AggregateKind.SUM
