@@ -262,15 +262,16 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; return its exit code.
 
     A bad value or an unreadable or malformed file (``ValueError`` or
-    ``OSError``, which the graph and index parse errors subclass) ends the
-    run with one ``s3and: error:`` line on stderr and exit code 2, the code
-    argparse uses for its own usage errors.
+    ``OSError``, which the graph and index parse errors subclass), or a
+    setting too large to allocate (``MemoryError``), ends the run with one
+    ``s3and: error:`` line on stderr and exit code 2, the code argparse uses
+    for its own usage errors.
     """
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        message = " ".join(str(exc).split())
+    except (ValueError, OSError, MemoryError) as exc:
+        message = " ".join(str(exc).split()) or "out of memory"
         print(f"s3and: error: {message}", file=sys.stderr)
         return 2
 

@@ -346,7 +346,8 @@ def refine(
     missing. With these rules every complete mapping is connected and
     within ``sigma``, and each still has to pass :func:`is_answer`.
     Candidates may come in any order, as lists or arrays; answers come out
-    in :func:`sort_answers` order.
+    in :func:`sort_answers` order. The recursion's closure is released on
+    return, so a query's search state is freed when it returns.
     """
     nq = q.vertex_count
     # the support filter hands over lists; the answer order comes from
@@ -465,7 +466,13 @@ def refine(
             used.discard(v)
             mapping[qj] = -1
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    finally:
+        # dfs reaches itself through its closure cell; dropping the name
+        # breaks that cycle, so reference counting frees the search state
+        # here instead of leaving it to the cyclic collector mid-query later
+        del dfs
     return sort_answers(answers)
 
 

@@ -197,7 +197,12 @@ def oracle_search(
             used.remove(vi)
             mapping[qj] = -1
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        # extend reaches itself through its closure cell; dropping the name
+        # breaks that cycle so the search state is freed on return
+        del extend
     return sort_answers(answers)
 
 

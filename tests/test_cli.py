@@ -1,6 +1,11 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +227,37 @@ def test_non_finite_gamma_is_a_one_line_error(one_keyword_graph, tmp_path, capsy
         ["index", "--graph", one_keyword_graph, "--out", tmp_path / "x.idx", "--gamma", gamma],
         "gamma must be finite",
     )
+
+
+def limit_address_space() -> None:
+    # 2 GiB: enough to start Python and numpy, too little for these tables
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("flag", ["--m", "--bits"])
+def test_unallocatable_signature_is_a_one_line_error(one_keyword_graph, tmp_path, flag):
+    # the header holds 2**32 - 1, but a row that wide does not fit in memory;
+    # never run this without the address-space limit (--bits asks ~2.7 GB)
+    out = tmp_path / "huge.idx"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "s3and", "index", "--graph", str(one_keyword_graph),
+            "--out", str(out), flag, "4294967295",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("s3and: error: ")
+    assert not out.exists()
 
 
 def test_index_reports_keywords_sharing_a_bit(team_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Index-backed query pipeline: traversal, planning, refinement, invariances."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -25,6 +26,7 @@ from s3and import (
     oracle_search,
     parse_query,
     refine,
+    run_baseline,
     run_query,
 )
 from s3and import engine
@@ -545,6 +547,29 @@ def test_run_query_fixture_answers(small_index, team_graph, team_query):
     # answers arrive sorted by (score, mapping)
     keys = [(a.and_score, a.mapping) for a in res.answers]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("call", ["run_query", "run_baseline", "refine", "oracle_search"])
+def test_search_leaves_no_reference_cycle(small_index, team_graph, team_query, call):
+    # the recursive search must not keep its state alive through a cycle,
+    # or the collector frees it later, inside some other query
+    spec = QuerySpec(query=team_query, aggregate=MAX, sigma=2)
+    cands = run_query(small_index, team_graph, spec).candidates
+    plan = make_query_plan(team_query, cands)
+    calls = {
+        "run_query": lambda: run_query(small_index, team_graph, spec).answers,
+        "run_baseline": lambda: run_baseline(team_graph, spec).answers,
+        "refine": lambda: refine(team_graph, team_query, plan, cands, MAX, 2),
+        "oracle_search": lambda: oracle_search(team_graph, team_query, MAX, 2),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        # an answer means the search went to full depth
+        assert calls[call]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_query_matches_oracle_on_random_instances():
