@@ -62,7 +62,6 @@ from .index import (
     build_index,
     cm_partitioning,
     load_index,
-    partition_cost,
     save_index,
 )
 from .engine import (
@@ -140,7 +139,6 @@ __all__ = [
     "IndexIntegrityError",
     "build_index",
     "cm_partitioning",
-    "partition_cost",
     "save_index",
     "load_index",
     # engine

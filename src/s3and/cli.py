@@ -171,7 +171,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
     sig = SignatureConfig(group_count=args.m, bits_per_group=args.bits, seed=args.seed)
     idx_cfg = IndexConfig(
         fanout=args.fanout,
@@ -180,6 +179,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         local_iter=args.local_iter,
         seed=args.seed,
     )
+    g = load_graph(args.graph)
     t0 = time.perf_counter()
     index = build_index(g, sig, idx_cfg)
     built_ms = (time.perf_counter() - t0) * 1000.0

@@ -44,17 +44,25 @@ and within ``sigma`` before :func:`is_answer` checks it.
 
 Traversal keeps, per tree node, the subset of query vertices the node is
 still live for. A child inherits its parent's live set minus the query
-vertices its own aggregates rule out; a node with an empty live set is never
-visited. The traversal is level-synchronous: one tree depth at a time, the
-live (node, query vertex) pairs sit in two index arrays and every predicate
-runs over all of them in a few numpy operations, in the frontier-at-a-time
-style of linear-algebra graph traversal. Nodes and vertices share the
-index's entry id space, node ``u`` at ``u`` and vertex ``v`` at the node
-count plus ``v``, so a leaf's members and an internal node's children are
-expanded and tested by the same level body, whatever the mix of leaves and
-internal nodes at a depth. Every live pair is tested exactly once, so the
-candidate sets and ``nodes_visited`` are fixed by the tree and the query
-alone.
+vertices whose keyword bits its aggregate signature lacks; a node with an
+empty live set is never visited. Nodes get this keyword check only. The two
+neighbor-difference bounds run once, over the vertex hits: the degree bound
+first, as the cheaper test, then the tight bound. A node's tight bound is at
+most each member's, so running it on the members instead loses no
+candidate pruning; on nodes it killed few pairs and its per-level array
+work cost more than it saved. The traversal is level-synchronous: one tree
+depth at a time, the live (node, query vertex) pairs sit in two index
+arrays and the keyword check runs over all of them in a few numpy
+operations, in the frontier-at-a-time style of linear-algebra graph
+traversal. Nodes and vertices share the index's entry id space, node ``u``
+at ``u`` and vertex ``v`` at the node count plus ``v``, so a leaf's members
+and an internal node's children are expanded and tested by the same level
+body, whatever the mix of leaves and internal nodes at a depth. Every live
+pair is tested exactly once. The candidates do not depend on the tree: a
+node's aggregate holds each member's bits, so no vertex that passes the
+keyword check is cut off above it, and every vertex hit gets every
+vertex-level test. ``nodes_visited`` depends on the tree and the query's
+keyword bits, not on the ablation.
 """
 
 from __future__ import annotations
@@ -103,7 +111,9 @@ class Ablation(enum.Enum):
 
     Keyword pruning, the signature containment check at node and vertex
     level, is always on. ``KS_LB`` stacks the degree-shortfall bound on it
-    and ``KS_LB_TIGHT`` also the neighborhood-signature bound.
+    and ``KS_LB_TIGHT`` also the neighborhood-signature bound. Both bounds
+    run on vertex hits only, so the ablation changes the candidates but not
+    the nodes visited.
     """
 
     KS = "ks"
@@ -156,11 +166,11 @@ def collect_candidates(
 
     Each level holds the live (node, query vertex) pairs of one tree depth
     as two index arrays. The pairs expand to (entry, query vertex) pairs
-    over the index's entry table, which get the keyword check and the
-    tight bound over the entry arrays. Survivors with an entry id of at
-    least the node count are vertex hits; the rest are the next level's
-    live pairs. The degree bound holds for vertices only, so it runs once
-    over all hits after the last level. A node counts as visited when it
+    over the index's entry table, which get the keyword check over the
+    entry arrays. Survivors with an entry id of at least the node count are
+    vertex hits; the rest are the next level's live pairs. Nodes get the
+    keyword check only: after the last level, the degree bound and then the
+    tight bound run once over all hits. A node counts as visited when it
     holds at least one live pair; the root always does.
 
     ``degrees`` is the data graph's degree vector, needed by the degree
@@ -177,9 +187,8 @@ def collect_candidates(
     seen[0] = True
     nodes = np.zeros(nq, dtype=np.int64)
     qv = np.arange(nq, dtype=np.int64)
-    hit_v: list[np.ndarray] = []
+    hit_e: list[np.ndarray] = []
     hit_q: list[np.ndarray] = []
-    tight = ablation.lb_tight
     while nodes.size:
         # (entry, query vertex) pairs for every row entry of each live pair
         rows = index.entry_table.take(nodes, axis=0)
@@ -187,19 +196,20 @@ def collect_candidates(
         e, eq = rows[valid], qv.repeat(rows.shape[1])[valid.ravel()]
         keep = keyword_contained(index.entry_bv_neg, e, q_bits, eq)
         e, eq = e[keep], eq[keep]
-        if tight:
-            keep = uncovered_neighbors(index.entry_nbv_neg, e, q_nbr, eq) <= sigma
-            e, eq = e[keep], eq[keep]
         hit = e >= n
-        hit_v.append(e[hit])
+        hit_e.append(e[hit])
         hit_q.append(eq[hit])
         inner = ~hit
         nodes, qv = e[inner], eq[inner]
         seen[nodes] = True
-    v, vq = np.concatenate(hit_v) - n, np.concatenate(hit_q)
+    e, vq = np.concatenate(hit_e), np.concatenate(hit_q)
     if ablation.lb_basic:
-        keep = degree_shortfall(degrees, v, q_deg, vq) <= sigma
-        v, vq = v[keep], vq[keep]
+        keep = degree_shortfall(degrees, e - n, q_deg, vq) <= sigma
+        e, vq = e[keep], vq[keep]
+    if ablation.lb_tight:
+        keep = uncovered_neighbors(index.entry_nbv_neg, e, q_nbr, vq) <= sigma
+        e, vq = e[keep], vq[keep]
+    v = e - n
     # one sort orders by query vertex, then by vertex id
     key = np.sort(vq * index.vertex_count + v) % index.vertex_count
     bounds = np.bincount(vq, minlength=nq).cumsum().tolist()

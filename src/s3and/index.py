@@ -3,7 +3,7 @@
 Vertices are recursively partitioned by similarity of their keyword
 signatures; each tree node aggregates the OR of its members' signatures and
 the OR of their neighborhood signatures. Queries can then discard whole
-subtrees whose aggregates cannot cover a query vertex's requirements. The
+subtrees whose aggregate signature lacks a query vertex's keyword bits. The
 tree is kept as flat arrays: its shape, from which the aggregates and the
 traversal's entry table are derived (see :class:`SubgraphIndex`).
 
@@ -51,7 +51,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +62,6 @@ __all__ = [
     "SubgraphIndex",
     "IndexFormatError",
     "IndexIntegrityError",
-    "partition_cost",
     "cm_partitioning",
     "build_index",
     "save_index",
@@ -130,7 +128,8 @@ class SubgraphIndex:
       over its descendant members. Both are word-major, ``(words,
       entries)``, so that "query bits contained in s" reads ``q & ~s == 0``
       and the OR over a signature's words is one reduction along the outer
-      axis.
+      axis. The traversal reads the node columns of ``entry_bv_neg`` only;
+      those of ``entry_nbv_neg`` serve the bound-soundness tests.
     """
 
     index_config: IndexConfig
@@ -246,17 +245,6 @@ def _cost(counts: np.ndarray, sums: np.ndarray) -> float:
     m = len(k)
     inter = float(((2.0 * np.arange(m) - m + 1) @ np.sort(s / k, axis=0)).sum())
     return intra / (inter + 1.0)
-
-
-def partition_cost(parts: Sequence[np.ndarray], bits: np.ndarray) -> float:
-    """``intra / (inter + 1)`` with centroids recomputed from current membership.
-
-    ``bits`` is the unpacked 0/1 signature matrix indexed by vertex id. Empty
-    parts contribute nothing to either sum.
-    """
-    idx = [np.asarray(part, dtype=np.int64) for part in parts]
-    sums = np.array([bits[i].sum(axis=0, dtype=np.float64) for i in idx])
-    return _cost(np.array([i.size for i in idx]), sums.reshape(len(idx), bits.shape[1]))
 
 
 def _distance_matrix(

@@ -23,10 +23,14 @@ two index arrays: ``ids`` into the entry columns of a word-major array and
 ``qv`` into the query side. The traversal passes the index's entry arrays
 (``SubgraphIndex.entry_bv_neg`` and ``entry_nbv_neg``), where tree node
 ``u`` is entry ``u`` and data vertex ``v`` is entry ``node_count() + v``,
-so one call tests nodes and vertices alike. The degree shortfall holds
-for data vertices only and takes vertex ids into the degree vector. The
-bound functions return the bound itself; the caller compares it with
-sigma.
+so one call can test nodes and vertices alike. The traversal runs the
+keyword check on nodes and vertices, and both bounds on vertex hits only:
+at nodes the tight bound pruned too little to pay for itself. The node
+columns of ``entry_nbv_neg`` stay, and the bound-soundness tests read them
+to check that a node's bound is at most each member's. The degree
+shortfall holds for data vertices only and takes vertex ids into the
+degree vector. The bound functions return the bound itself; the caller
+compares it with sigma.
 """
 
 from __future__ import annotations

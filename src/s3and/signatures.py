@@ -37,6 +37,11 @@ __all__ = [
     "build_aux",
 ]
 
+# the widest signature, in uint64 words over all groups: 65,536 bits, far
+# more than any keyword domain needs to keep collisions rare, and small
+# enough that a per-vertex row of it can be allocated
+MAX_SIGNATURE_WORDS = 1024
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -44,7 +49,12 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 @dataclass(frozen=True)
 class SignatureConfig:
-    """Shape and seeding of the grouped bit vectors."""
+    """Shape and seeding of the grouped bit vectors.
+
+    A signature holds at most :data:`MAX_SIGNATURE_WORDS` words over all
+    groups, so a config too wide to allocate is refused here, before any
+    array is built.
+    """
 
     group_count: int = 5
     bits_per_group: int = 64
@@ -60,6 +70,11 @@ class SignatureConfig:
             raise ValueError("group_count and bits_per_group must be below 2**32")
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError("seed must be in [-2**63, 2**63)")
+        if self.group_count * self.words_per_group > MAX_SIGNATURE_WORDS:
+            raise ValueError(
+                "group_count * ceil(bits_per_group / 64) must be at most "
+                f"{MAX_SIGNATURE_WORDS} words per signature"
+            )
 
     @property
     def words_per_group(self) -> int:

@@ -38,6 +38,7 @@ from s3and import (
     parse_query,
     uncovered_neighbors,
 )
+from s3and.index import _cost
 from s3and.pruning import QuerySideData
 
 TEAM_GRAPH_TEXT = """t 12 13
@@ -234,6 +235,19 @@ def small_signature_config() -> SignatureConfig:
     return SignatureConfig()
 
 
+def partition_cost(parts, bits: np.ndarray) -> float:
+    """The index's split cost, ``intra / (inter + 1)``, of explicit parts.
+
+    Centroids are recomputed from the parts' membership. ``bits`` is the
+    unpacked 0/1 signature matrix indexed by vertex id. Empty parts
+    contribute nothing to either sum. Tests compare it with a cost taken
+    straight from the definition.
+    """
+    idx = [np.asarray(part, dtype=np.int64) for part in parts]
+    sums = np.array([bits[i].sum(axis=0, dtype=np.float64) for i in idx])
+    return _cost(np.array([i.size for i in idx]), sums.reshape(len(idx), bits.shape[1]))
+
+
 def reference_assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
     """Capacity-bounded assignment straight from its definition.
 
@@ -380,7 +394,8 @@ def audit_structure(index, g) -> None:
 # A per-node walk, one (node, live query vertices) entry at a time, kept as
 # the oracle that the engine's level-synchronous traversal must reproduce:
 # the same candidates and the same number of visited nodes. It ORs each
-# node's aggregates from the node's descendant members itself.
+# node's keyword aggregate from the node's descendant members itself. A
+# node gets the keyword check only; a leaf's members get every check.
 
 
 def _query_rows(qside: QuerySideData) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -396,29 +411,13 @@ def _query_rows(qside: QuerySideData) -> tuple[np.ndarray, list[np.ndarray], np.
     return bv, nbr_rows, degrees
 
 
-def _node_live(
-    agg_bv: np.ndarray,
-    agg_nbv: np.ndarray,
-    query_rows: tuple[np.ndarray, list[np.ndarray], np.ndarray],
-    live: np.ndarray,
-    sigma: int,
-    ablation: Ablation,
-) -> np.ndarray:
-    """Subset of ``live`` query vertices the node's aggregates cannot rule out."""
-    q_bv, nbr_rows, q_deg = query_rows
+def _node_live(agg_bv: np.ndarray, q_bv: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Subset of ``live`` query vertices whose bits the node's aggregate holds.
+
+    Nodes get the keyword check only; both bounds run on the members.
+    """
     qv = q_bv[live]
-    ok = np.all((agg_bv[None, :] & qv) == qv, axis=1)
-    if ablation.lb_tight and ok.any():
-        for pos, qj in enumerate(live):
-            if not ok[pos]:
-                continue
-            rows = nbr_rows[qj]
-            if rows.shape[0] == 0:
-                continue
-            covered = int(np.all((rows & agg_nbv[None, :]) == rows, axis=1).sum())
-            if int(q_deg[qj]) - covered > sigma:
-                ok[pos] = False
-    return live[ok]
+    return live[np.all((agg_bv[None, :] & qv) == qv, axis=1)]
 
 
 def _leaf_survivors(
@@ -498,12 +497,7 @@ def reference_candidates(
             for child in children[node]:
                 idx = members[child]
                 child_live = _node_live(
-                    np.bitwise_or.reduce(flat_bv[idx], axis=0),
-                    np.bitwise_or.reduce(flat_nbv[idx], axis=0),
-                    query_rows,
-                    live,
-                    sigma,
-                    ablation,
+                    np.bitwise_or.reduce(flat_bv[idx], axis=0), query_rows[0], live
                 )
                 if child_live.size:
                     stack.append((child, child_live))

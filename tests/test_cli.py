@@ -238,7 +238,8 @@ def limit_address_space() -> None:
 @pytest.mark.parametrize("flag", ["--m", "--bits"])
 def test_unallocatable_signature_is_a_one_line_error(one_keyword_graph, tmp_path, flag):
     # the header holds 2**32 - 1, but a row that wide does not fit in memory;
-    # never run this without the address-space limit (--bits asks ~2.7 GB)
+    # the config refuses it before any allocation, and the address-space
+    # limit keeps a build that got past the config from taking ~2.7 GB
     out = tmp_path / "huge.idx"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
@@ -331,13 +332,16 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
         ("--local-iter", 2**32, "iteration counts"),
         ("--m", 2**32, "group_count"),
         ("--seed", 2**63, "seed"),
+        ("--m", 2**32 - 1, "words per signature"),
+        ("--bits", 2**32 - 1, "words per signature"),
     ],
 )
 def test_config_past_the_index_header_is_a_one_line_error(
     one_keyword_graph, tmp_path, capsys, option, value, needle
 ):
     # the header stores the counts as uint32 and the seeds as int64, so the
-    # configs refuse what it cannot hold before any build
+    # configs refuse what it cannot hold before any build; they also refuse
+    # a signature too wide to allocate, so no memory limit is needed here
     idx = tmp_path / "x.idx"
     assert_one_line_error(
         capsys, ["index", "--graph", one_keyword_graph, "--out", idx, option, value], needle

@@ -681,6 +681,30 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
                 assert mapping_set(res.answers) == mapping_set(answers)
 
 
+def test_candidates_do_not_depend_on_the_tree():
+    # nodes get the keyword check only and every vertex hit gets every
+    # vertex-level test, so any tree gives a single leaf's candidates, and
+    # the bounds, which never run on nodes, leave the visited nodes alone
+    rng = np.random.default_rng(67)
+    for _ in range(6):
+        g, q = random_instance(rng, max_vertices=150)
+        flat = build_index(g, index_config=IndexConfig(fanout=g.vertex_count))
+        assert flat.node_count() == 1
+        trees = [
+            build_index(g, index_config=IndexConfig(fanout=fanout, seed=fanout))
+            for fanout in range(2, 17)
+        ]
+        for sigma in range(4):
+            for ab in Ablation:
+                expect, _ = collect(flat, g, q, sigma, ablation=ab)
+                for index in trees:
+                    got, _ = collect(index, g, q, sigma, ablation=ab)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+            for index in trees:
+                visited = {collect(index, g, q, sigma, ablation=ab)[1] for ab in Ablation}
+                assert len(visited) == 1
+
+
 def test_plan_choice_never_changes_answers(team_graph, team_query, small_index):
     # refining run_query's filtered candidates over either plan gives its
     # answers

@@ -25,11 +25,10 @@ from s3and.index import (
     _HEADER,
     _assign_capacitated,
     _distance_matrix,
-    partition_cost,
 )
 from s3and.signatures import unpack_bits
 from s3and.workbench import SyntheticSpec, generate_graph
-from tests.conftest import audit_structure, reference_assign_capacitated
+from tests.conftest import audit_structure, partition_cost, reference_assign_capacitated
 
 CFG = SignatureConfig()
 

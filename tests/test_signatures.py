@@ -16,7 +16,7 @@ from s3and import (
     keyword_group,
     make_graph,
 )
-from s3and.signatures import unpack_bits
+from s3and.signatures import MAX_SIGNATURE_WORDS, unpack_bits
 from tests.conftest import complemented
 
 
@@ -169,6 +169,17 @@ def test_signature_config_validation():
     with pytest.raises(ValueError):
         SignatureConfig(bits_per_group=0)
     assert SignatureConfig(bits_per_group=100).words_per_group == 2
+    # at most MAX_SIGNATURE_WORDS words over all groups
+    widest = MAX_SIGNATURE_WORDS * 64 // 16
+    SignatureConfig(group_count=MAX_SIGNATURE_WORDS)
+    SignatureConfig(group_count=16, bits_per_group=widest)
+    for wide in (
+        dict(group_count=MAX_SIGNATURE_WORDS + 1),
+        dict(group_count=16, bits_per_group=widest + 1),
+        dict(bits_per_group=2**32 - 1),
+    ):
+        with pytest.raises(ValueError, match="words per signature"):
+            SignatureConfig(**wide)
 
 
 def brute_force_exact(cfg: SignatureConfig, domain: int) -> set[int]:
