@@ -9,10 +9,11 @@ cheap lower bounds on the neighbor difference stack on top.
 
 The predicates are the batch functions the tree traversal runs: each takes
 many (entry, query vertex) pairs as two index arrays, over the index's
-complemented, word-major signature arrays. Tree nodes and data vertices
-share those arrays: node ``u`` is entry ``u`` and vertex ``v`` is entry
-``node_count() + v``. Here every call asks about a whole row of data
-vertices against one query vertex.
+complemented, word-major signature arrays. For the keyword check, tree
+nodes and data vertices share one array: node ``u`` is entry ``u`` and
+vertex ``v`` is entry ``node_count() + v``. The neighborhood bound runs on
+data vertices only, so its array is read by vertex id. Here every call asks
+about a whole row of data vertices against one query vertex.
 """
 
 import numpy as np
@@ -80,9 +81,10 @@ side = build_query_side(q, cfg)
 vertices = np.arange(g.vertex_count)
 entries = index.node_count() + vertices
 
-print(f"signature shape per vertex: {aux.bv[0].shape} packed 64-bit words")
-print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux.bv[0].reshape(-1)]}")
-print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux.nbv[0].reshape(-1)]}")
+words = f"{cfg.group_count} groups of {cfg.words_per_group}"
+print(f"signature per vertex: {aux.bv.shape[1]} packed 64-bit words ({words})")
+print(f"vertex 0 (ml) bit vector:   {[hex(int(w)) for w in aux.bv[0]]}")
+print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux.nbv[0]]}")
 
 # Keyword containment: sales and legal share no keyword with any query
 # vertex, so the bit test alone removes them from every candidate set.
@@ -105,7 +107,7 @@ for vi, lb in zip(vs.tolist(), shortfall.tolist()):
 print("\nneighborhood bound for query vertex 0 (neighbors: backend, systems):")
 vs = np.array([0, 5, 11])
 uncovered = uncovered_neighbors(
-    index.entry_nbv_neg, entries[vs], side.neighbor_bits, np.full_like(vs, 0)
+    index.nbv_neg, vs, side.neighbor_bits, np.full_like(vs, 0)
 )
 for vi, lb in zip(vs.tolist(), uncovered.tolist()):
     names = ",".join(g.keyword_names[k] for k in g.keywords[vi])

@@ -10,7 +10,6 @@ index-free baseline give reference answers.
 """
 
 from .graph import (
-    DUMMY_KEYWORD,
     DataGraph,
     GraphParseError,
     GraphValidationError,
@@ -30,7 +29,6 @@ from .semantics import (
     MatchAnswer,
     QuerySpec,
     aggregated_neighbor_difference,
-    format_answer_line,
     format_answers,
     is_answer,
     keyword_feasible,
@@ -44,8 +42,6 @@ from .signatures import (
     build_aux,
     build_bit_vectors,
     exact_keywords,
-    hash_keyword,
-    keyword_group,
 )
 from .pruning import (
     QuerySideData,
@@ -60,7 +56,6 @@ from .index import (
     IndexIntegrityError,
     SubgraphIndex,
     build_index,
-    cm_partitioning,
     load_index,
     save_index,
 )
@@ -92,7 +87,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     # graphs
-    "DUMMY_KEYWORD",
     "DataGraph",
     "QueryGraph",
     "GraphParseError",
@@ -116,13 +110,10 @@ __all__ = [
     "is_answer",
     "oracle_search",
     "sort_answers",
-    "format_answer_line",
     "format_answers",
     # signatures
     "SignatureConfig",
     "AuxData",
-    "keyword_group",
-    "hash_keyword",
     "build_bit_vectors",
     "exact_keywords",
     "build_aux",
@@ -138,7 +129,6 @@ __all__ = [
     "IndexFormatError",
     "IndexIntegrityError",
     "build_index",
-    "cm_partitioning",
     "save_index",
     "load_index",
     # engine

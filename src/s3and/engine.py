@@ -167,11 +167,11 @@ def collect_candidates(
     Each level holds the live (node, query vertex) pairs of one tree depth
     as two index arrays. The pairs expand to (entry, query vertex) pairs
     over the index's entry table, which get the keyword check over the
-    entry arrays. Survivors with an entry id of at least the node count are
-    vertex hits; the rest are the next level's live pairs. Nodes get the
+    entry signatures. Survivors with an entry id of at least the node count
+    are vertex hits; the rest are the next level's live pairs. Nodes get the
     keyword check only: after the last level, the degree bound and then the
-    tight bound run once over all hits. A node counts as visited when it
-    holds at least one live pair; the root always does.
+    tight bound run once over all hits, by vertex id. A node counts as
+    visited when it holds at least one live pair; the root always does.
 
     ``degrees`` is the data graph's degree vector, needed by the degree
     bound. Returns ``(candidates, nodes_visited)``; candidate arrays are
@@ -202,14 +202,13 @@ def collect_candidates(
         inner = ~hit
         nodes, qv = e[inner], eq[inner]
         seen[nodes] = True
-    e, vq = np.concatenate(hit_e), np.concatenate(hit_q)
+    v, vq = np.concatenate(hit_e) - n, np.concatenate(hit_q)
     if ablation.lb_basic:
-        keep = degree_shortfall(degrees, e - n, q_deg, vq) <= sigma
-        e, vq = e[keep], vq[keep]
+        keep = degree_shortfall(degrees, v, q_deg, vq) <= sigma
+        v, vq = v[keep], vq[keep]
     if ablation.lb_tight:
-        keep = uncovered_neighbors(index.entry_nbv_neg, e, q_nbr, vq) <= sigma
-        e, vq = e[keep], vq[keep]
-    v = e - n
+        keep = uncovered_neighbors(index.nbv_neg, v, q_nbr, vq) <= sigma
+        v, vq = v[keep], vq[keep]
     # one sort orders by query vertex, then by vertex id
     key = np.sort(vq * index.vertex_count + v) % index.vertex_count
     bounds = np.bincount(vq, minlength=nq).cumsum().tolist()

@@ -1,11 +1,11 @@
 """Balanced signature tree over the data graph.
 
 Vertices are recursively partitioned by similarity of their keyword
-signatures; each tree node aggregates the OR of its members' signatures and
-the OR of their neighborhood signatures. Queries can then discard whole
-subtrees whose aggregate signature lacks a query vertex's keyword bits. The
-tree is kept as flat arrays: its shape, from which the aggregates and the
-traversal's entry table are derived (see :class:`SubgraphIndex`).
+signatures; each tree node aggregates the OR of its members' signatures.
+Queries can then discard whole subtrees whose aggregate signature lacks a
+query vertex's keyword bits. The tree is kept as flat arrays: its shape,
+from which the aggregates and the traversal's entry table are derived (see
+:class:`SubgraphIndex`).
 
 Partitioning minimizes ``intra / (inter + 1)``: the sum of members' L1
 distances to their part's centroid over the summed pairwise centroid
@@ -55,14 +55,13 @@ from pathlib import Path
 import numpy as np
 
 from .graph import FINGERPRINT_SIZE, DataGraph
-from .signatures import AuxData, SignatureConfig, build_aux, unpack_bits
+from .signatures import AuxData, SignatureConfig, build_aux
 
 __all__ = [
     "IndexConfig",
     "SubgraphIndex",
     "IndexFormatError",
     "IndexIntegrityError",
-    "cm_partitioning",
     "build_index",
     "save_index",
     "load_index",
@@ -123,13 +122,16 @@ class SubgraphIndex:
 
     - ``entry_table``: row ``u`` holds node ``u``'s entries, its children
       or, for a leaf, its members, padded with -1.
-    - ``entry_bv_neg`` and ``entry_nbv_neg``: bitwise complements of every
-      entry's signature and neighborhood signature. A node's are the OR
-      over its descendant members. Both are word-major, ``(words,
-      entries)``, so that "query bits contained in s" reads ``q & ~s == 0``
-      and the OR over a signature's words is one reduction along the outer
-      axis. The traversal reads the node columns of ``entry_bv_neg`` only;
-      those of ``entry_nbv_neg`` serve the bound-soundness tests.
+    - ``entry_bv_neg``: the bitwise complement of every entry's signature,
+      where a node's is the OR over its descendant members.
+    - ``nbv_neg``: the bitwise complement of every vertex's neighborhood
+      signature, read by vertex id. Nodes need none, since the tight bound
+      runs on vertex hits only.
+
+    Both arrays are word-major, ``(words, entries)`` and ``(words,
+    vertices)``, so that "query bits contained in s" reads ``q & ~s == 0``
+    and the OR over a signature's words is one reduction along the outer
+    axis.
     """
 
     index_config: IndexConfig
@@ -142,7 +144,7 @@ class SubgraphIndex:
     permutation: np.ndarray
     entry_table: np.ndarray = field(init=False, repr=False)
     entry_bv_neg: np.ndarray = field(init=False, repr=False)
-    entry_nbv_neg: np.ndarray = field(init=False, repr=False)
+    nbv_neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cc = self.child_counts
@@ -158,27 +160,19 @@ class SubgraphIndex:
             np.concatenate([np.arange(n), n + self.permutation]),
         )
         starts = _level_starts(cc)
-
-        def complemented(sig: np.ndarray) -> np.ndarray:
-            """``~sig`` per entry, word-major; a node's is its members' OR."""
-            ent = np.empty((n + self.vertex_count, sig.shape[1]), dtype=sig.dtype)
-            ent[n:] = sig
-            agg = ent[:n]
-            agg[leaf] = np.bitwise_or.reduceat(
-                sig[self.permutation], first_member[leaf]
-            )
-            # bottom-up: depth d + 1, in [hi, end), holds the children of
-            # the internal nodes of depth d, in [lo, hi), in order
-            for d in range(len(starts) - 3, -1, -1):
-                lo, hi, end = starts[d : d + 3]
-                inner = lo + np.flatnonzero(cc[lo:hi])
-                agg[inner] = np.bitwise_or.reduceat(
-                    agg[hi:end], first_child[inner] - hi
-                )
-            return np.ascontiguousarray(~ent.T)
-
-        self.entry_bv_neg = complemented(self.aux.flat_bv())
-        self.entry_nbv_neg = complemented(self.aux.flat_nbv())
+        bv = self.aux.bv
+        ent = np.empty((n + self.vertex_count, bv.shape[1]), dtype=bv.dtype)
+        ent[n:] = bv
+        agg = ent[:n]
+        agg[leaf] = np.bitwise_or.reduceat(bv[self.permutation], first_member[leaf])
+        # bottom-up: depth d + 1, in [hi, end), holds the children of the
+        # internal nodes of depth d, in [lo, hi), in order
+        for d in range(len(starts) - 3, -1, -1):
+            lo, hi, end = starts[d : d + 3]
+            inner = lo + np.flatnonzero(cc[lo:hi])
+            agg[inner] = np.bitwise_or.reduceat(agg[hi:end], first_child[inner] - hi)
+        self.entry_bv_neg = np.ascontiguousarray(~ent.T)
+        self.nbv_neg = np.ascontiguousarray(~self.aux.nbv.T)
 
     @property
     def sig_config(self) -> SignatureConfig:
@@ -217,6 +211,17 @@ def _padded(first: np.ndarray, counts: np.ndarray, values: np.ndarray) -> np.nda
     fill = cols < counts[:, None]
     table[fill] = values[(first[:, None] + cols)[fill]]
     return table
+
+
+def _unpack_bits(bv: np.ndarray, cfg: SignatureConfig) -> np.ndarray:
+    """Expand packed signatures ``(n, groups * words)`` to one byte per bit.
+
+    The output is ``(n, groups * bits)`` in group-major position order,
+    dtype uint8 with values 0/1.
+    """
+    bits = np.unpackbits(bv.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+    bits = bits.reshape(len(bv), cfg.group_count, cfg.words_per_group * 64)
+    return bits[..., : cfg.bits_per_group].reshape(len(bv), -1)
 
 
 def _column_sums(
@@ -277,7 +282,7 @@ def _assign_capacitated(dist: np.ndarray, cap: int) -> np.ndarray:
     return np.array(picks, dtype=np.int64)
 
 
-def cm_partitioning(
+def _cm_partitioning(
     members: np.ndarray,
     n: int,
     cfg: IndexConfig,
@@ -331,7 +336,7 @@ def _split(
     """A leaf's members, or the list of an internal node's children."""
     if len(members) <= cfg.fanout:
         return members
-    parts = cm_partitioning(members, cfg.fanout, cfg, bits, rng)
+    parts = _cm_partitioning(members, cfg.fanout, cfg, bits, rng)
     return [_split(part, cfg, bits, rng) for part in parts if len(part) > 0]
 
 
@@ -355,7 +360,7 @@ def build_index(
         aux = build_aux(g, sig_config)
     elif aux.cfg != sig_config:
         raise ValueError("aux data was built with a different signature config")
-    bits = unpack_bits(aux.bv, sig_config).astype(np.float32)
+    bits = _unpack_bits(aux.bv, sig_config).astype(np.float32)
     rng = np.random.default_rng(index_config.seed)
     # The splits run depth-first, which fixes the order of the random draws;
     # the nodes are then numbered breadth-first.
@@ -509,7 +514,7 @@ def load_index(path: str | Path) -> SubgraphIndex:
         (length,) = struct.unpack("<H", take(2))
         names.append(take(length).decode("utf-8"))
     fingerprint = take(FINGERPRINT_SIZE)
-    sig_shape = (vertex_count, sig_config.group_count, sig_config.words_per_group)
+    sig_shape = (vertex_count, sig_config.group_count * sig_config.words_per_group)
     sig_bytes = math.prod(sig_shape) * 8
     bv, nbv = (
         np.frombuffer(take(sig_bytes), dtype="<u8").reshape(sig_shape).astype(np.uint64)

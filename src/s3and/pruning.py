@@ -19,18 +19,17 @@ every member's, so the same functions over a node's aggregates give a
 bound of at most every member's bound.
 
 Each predicate runs over many (entry, query vertex) pairs at once, given as
-two index arrays: ``ids`` into the entry columns of a word-major array and
-``qv`` into the query side. The traversal passes the index's entry arrays
-(``SubgraphIndex.entry_bv_neg`` and ``entry_nbv_neg``), where tree node
-``u`` is entry ``u`` and data vertex ``v`` is entry ``node_count() + v``,
-so one call can test nodes and vertices alike. The traversal runs the
-keyword check on nodes and vertices, and both bounds on vertex hits only:
-at nodes the tight bound pruned too little to pay for itself. The node
-columns of ``entry_nbv_neg`` stay, and the bound-soundness tests read them
-to check that a node's bound is at most each member's. The degree
-shortfall holds for data vertices only and takes vertex ids into the
-degree vector. The bound functions return the bound itself; the caller
-compares it with sigma.
+two index arrays: ``ids`` into the columns of a word-major array and ``qv``
+into the query side. The traversal passes the index's arrays: for the
+keyword check ``SubgraphIndex.entry_bv_neg``, where tree node ``u`` is
+entry ``u`` and data vertex ``v`` is entry ``node_count() + v``, so one
+call can test nodes and vertices alike; for the tight bound
+``SubgraphIndex.nbv_neg``, whose columns are the data vertices. The
+traversal runs the keyword check on nodes and vertices, and both bounds on
+vertex hits only: at nodes the tight bound pruned too little to pay for
+itself. The degree shortfall also takes vertex ids, into the degree
+vector. The bound functions return the bound itself; the caller compares
+it with sigma.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def build_query_side(q: QueryGraph, cfg: SignatureConfig) -> QuerySideData:
     if nq == 0:
         raise ValueError("query graph must have at least one vertex")
     # one extra keyword-free column: the zero signature that pads the slots
-    words = build_bit_vectors([*q.keywords, ()], cfg).reshape(nq + 1, -1).T
+    words = build_bit_vectors([*q.keywords, ()], cfg, q.keyword_domain_size).T
     degrees = [len(a) for a in q.adjacency]
     width = max(1, max(degrees, default=0))
     slots = np.array([[*a, *[nq] * (width - len(a))] for a in q.adjacency]).T

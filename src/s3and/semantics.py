@@ -32,7 +32,6 @@ __all__ = [
     "is_answer",
     "oracle_search",
     "sort_answers",
-    "format_answer_line",
     "format_answers",
 ]
 
@@ -211,12 +210,13 @@ def sort_answers(answers: Iterable[MatchAnswer]) -> list[MatchAnswer]:
     return sorted(answers, key=lambda a: (a.and_score, a.mapping))
 
 
-def format_answer_line(answer: MatchAnswer) -> str:
-    pairs = " ".join(f"{qj}:{vi}" for qj, vi in enumerate(answer.mapping))
-    return f"a {answer.and_score} {pairs}"
-
-
 def format_answers(answers: Iterable[MatchAnswer]) -> str:
-    """One ``a`` line per answer in canonical order, newline-terminated."""
-    lines = [format_answer_line(a) for a in sort_answers(answers)]
+    """One ``a`` line per answer in canonical order, newline-terminated.
+
+    A line is ``a <score> 0:<v0> 1:<v1> ...``, query vertex then its image.
+    """
+    lines = [
+        f"a {a.and_score} " + " ".join(f"{j}:{v}" for j, v in enumerate(a.mapping))
+        for a in sort_answers(answers)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

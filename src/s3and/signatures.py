@@ -9,16 +9,21 @@ signatures may only ever rule candidates out, never in. The exception is a
 keyword whose bit no other keyword of the domain sets: :func:`exact_keywords`
 lists those, and for them the bit alone decides containment.
 
-Arrays are packed little-endian into ``uint64`` words: bit ``p`` of a group
-lives in word ``p // 64`` at bit ``p % 64``. A vertex signature has shape
-``(group_count, words_per_group)``; stacking all vertices gives the
-``(n, group_count, words_per_group)`` arrays carried by :class:`AuxData`.
+Arrays are packed little-endian into ``uint64`` words: bit ``p`` of group
+``k`` lives in word ``k * words_per_group + p // 64`` of a signature, at bit
+``p % 64``. A signature is one row of ``group_count * words_per_group``
+words, and :class:`AuxData` stacks them to ``(n, groups * words)``.
+
+Each keyword sets one bit, so a keyword domain is hashed once into a table
+of each id's word index and mask, per config and domain size; building any
+number of signatures is then one scatter of those masks.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,11 +34,8 @@ from .graph import DataGraph
 __all__ = [
     "SignatureConfig",
     "AuxData",
-    "keyword_group",
-    "hash_keyword",
     "build_bit_vectors",
     "exact_keywords",
-    "unpack_bits",
     "build_aux",
 ]
 
@@ -81,53 +83,35 @@ class SignatureConfig:
         return (self.bits_per_group + 63) // 64
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & _U64
+def _fnv1a64(ids: np.ndarray) -> np.ndarray:
+    """FNV-1a over the 8 little-endian bytes of each ``uint64``.
+
+    ``uint64`` arithmetic wraps, which is the hash's multiplication mod
+    ``2**64``.
+    """
+    h = np.full(ids.shape, _FNV_OFFSET, dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        h ^= (ids >> np.uint64(shift)) & np.uint64(0xFF)
+        h *= np.uint64(_FNV_PRIME)
     return h
 
 
-def keyword_group(keyword: int, cfg: SignatureConfig) -> int:
-    """Group index of a keyword id (round-robin)."""
-    if keyword < 0:
-        raise ValueError(f"keyword id must be non-negative, got {keyword}")
-    return keyword % cfg.group_count
-
-
-def hash_keyword(keyword: int, cfg: SignatureConfig) -> int:
-    """Bit position of a keyword within its group.
-
-    FNV-1a over the 8-byte little-endian encoding of ``keyword XOR seed``,
-    reduced mod ``bits_per_group``.
-    """
-    if keyword < 0:
-        raise ValueError(f"keyword id must be non-negative, got {keyword}")
-    x = (keyword ^ cfg.seed) & _U64
-    return _fnv1a64(x.to_bytes(8, "little")) % cfg.bits_per_group
-
-
 @functools.lru_cache(maxsize=8)
-def _keyword_bits(cfg: SignatureConfig) -> dict[int, tuple[int, int]]:
-    """Memo per config: keyword id -> (flat word index, word mask).
+def _keyword_table(cfg: SignatureConfig, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per keyword id below ``domain``: its flat word index and ``uint64`` mask.
 
-    The flat word index counts words across groups, as in a signature
-    reshaped to ``(groups * words_per_group,)``. The memo grows to at most
-    the keyword ids seen; without it every query hashes its keywords again.
+    Keyword ``k`` sets bit ``p``, the FNV-1a hash of ``k XOR seed`` mod
+    ``bits_per_group``, in group ``k % group_count``: that is word
+    ``(k % group_count) * words_per_group + p // 64`` of a signature row,
+    under mask ``1 << (p % 64)``. Read-only, since every caller shares it.
     """
-    return {}
-
-
-def _keyword_bit(keyword: int, cfg: SignatureConfig) -> tuple[int, int]:
-    """A keyword's (flat word index, word mask), hashed once per config."""
-    known = _keyword_bits(cfg)
-    bit = known.get(keyword)
-    if bit is None:
-        pos = hash_keyword(keyword, cfg)
-        word = keyword_group(keyword, cfg) * cfg.words_per_group + pos // 64
-        bit = known[keyword] = (word, 1 << (pos % 64))
-    return bit
+    ids = np.arange(domain, dtype=np.uint64)
+    pos = _fnv1a64(ids ^ np.uint64(cfg.seed & _U64)) % np.uint64(cfg.bits_per_group)
+    word = (ids % np.uint64(cfg.group_count)).astype(np.int64) * cfg.words_per_group
+    word += (pos // np.uint64(64)).astype(np.int64)
+    mask = np.uint64(1) << (pos % np.uint64(64))
+    word.flags.writeable = mask.flags.writeable = False
+    return word, mask
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,46 +123,32 @@ def exact_keywords(cfg: SignatureConfig, domain: int) -> frozenset[int]:
     keyword, so for these ids bit containment is exact containment.
     Memoized per config and domain size.
     """
-    bits = [_keyword_bit(k, cfg) for k in range(domain)]
+    word, mask = _keyword_table(cfg, domain)
+    bits = list(zip(word.tolist(), mask.tolist()))
     owners = collections.Counter(bits)
     return frozenset(k for k, bit in enumerate(bits) if owners[bit] == 1)
 
 
 def build_bit_vectors(
-    keyword_sets: Sequence[Iterable[int]], cfg: SignatureConfig
+    keyword_sets: Sequence[Iterable[int]], cfg: SignatureConfig, domain: int
 ) -> np.ndarray:
-    """Stacked signatures for many keyword sets, shape ``(n, groups, words)``."""
-    width = cfg.group_count * cfg.words_per_group
-    known = _keyword_bits(cfg)
-    rows = []
-    for ws in keyword_sets:
-        row = [0] * width
-        for k in ws:
-            bit = known.get(k) or _keyword_bit(k, cfg)
-            row[bit[0]] |= bit[1]
-        rows.append(row)
-    return np.array(rows, dtype=np.uint64).reshape(
-        len(rows), cfg.group_count, cfg.words_per_group
-    )
+    """Signatures of many keyword sets, shape ``(n, groups * words)``.
 
-
-def unpack_bits(bv: np.ndarray, cfg: SignatureConfig) -> np.ndarray:
-    """Expand packed signatures to one byte per bit position.
-
-    Input shape ``(..., groups, words)``; output ``(..., groups * bits)`` in
-    group-major position order, dtype uint8 with values 0/1.
+    Every keyword id must lie in ``[0, domain)``, as
+    :func:`~s3and.graph.make_graph` ensures for a graph's ids and its
+    ``keyword_domain_size``.
     """
-    lead = bv.shape[:-2]
-    as_bytes = bv.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    bits = bits.reshape(*lead, cfg.group_count, cfg.words_per_group * 64)
-    bits = bits[..., : cfg.bits_per_group]
-    return bits.reshape(*lead, cfg.group_count * cfg.bits_per_group)
+    word, mask = _keyword_table(cfg, domain)
+    sizes = [len(ws) for ws in keyword_sets]
+    ids = np.fromiter(itertools.chain.from_iterable(keyword_sets), np.int64, sum(sizes))
+    bv = np.zeros((len(sizes), cfg.group_count * cfg.words_per_group), dtype=np.uint64)
+    np.bitwise_or.at(bv, (np.arange(len(sizes)).repeat(sizes), word[ids]), mask[ids])
+    return bv
 
 
 @dataclass(eq=False, repr=False)
 class AuxData:
-    """Signature arrays for a whole graph.
+    """Signature arrays for a whole graph, each ``(n, groups * words)``.
 
     ``bv[i]`` is vertex ``i``'s own signature and ``nbv[i]`` the OR of its
     neighbors' signatures; an isolated vertex gets a zero ``nbv``.
@@ -188,24 +158,21 @@ class AuxData:
     bv: np.ndarray
     nbv: np.ndarray
 
-    def __len__(self) -> int:
-        return self.bv.shape[0]
-
-    def flat_bv(self) -> np.ndarray:
-        """Signatures flattened to ``(n, groups * words)`` for batch kernels."""
-        return self.bv.reshape(len(self), -1)
-
-    def flat_nbv(self) -> np.ndarray:
-        return self.nbv.reshape(len(self), -1)
-
 
 def build_aux(g: DataGraph, cfg: SignatureConfig) -> AuxData:
-    """Compute all per-vertex signature data for ``g``."""
-    bv = build_bit_vectors(g.keywords, cfg)
+    """Compute all per-vertex signature data for ``g``.
+
+    ``nbv`` ORs ``bv`` over each vertex's run of the adjacency lists laid
+    end to end; a vertex without neighbors has no run and keeps zeros.
+    """
+    bv = build_bit_vectors(g.keywords, cfg, g.keyword_domain_size)
+    degrees = g.degree_vector
+    nbrs = np.fromiter(
+        itertools.chain.from_iterable(g.adjacency), np.int64, int(degrees.sum())
+    )
     nbv = np.zeros_like(bv)
-    if g.edges:
-        eu = np.fromiter((u for u, _ in g.edges), dtype=np.int64, count=g.edge_count)
-        ev = np.fromiter((v for _, v in g.edges), dtype=np.int64, count=g.edge_count)
-        np.bitwise_or.at(nbv, eu, bv[ev])
-        np.bitwise_or.at(nbv, ev, bv[eu])
+    if nbrs.size:
+        linked = degrees > 0
+        starts = np.cumsum(degrees) - degrees
+        nbv[linked] = np.bitwise_or.reduceat(bv[nbrs], starts[linked])
     return AuxData(cfg, bv, nbv)

@@ -305,27 +305,29 @@ def vertex_entry(index, v: int) -> int:
     return index.node_count() + v
 
 
-def index_aggregates(index) -> tuple[np.ndarray, np.ndarray]:
-    """The index's own node aggregates, ``(nodes, groups, words)`` each."""
-    cfg = index.sig_config
-    n = index.node_count()
-    shape = (n, cfg.group_count, cfg.words_per_group)
-    return tuple(
-        (~neg[:, :n].T).reshape(shape)
-        for neg in (index.entry_bv_neg, index.entry_nbv_neg)
-    )
+def node_nbv_neg(index) -> np.ndarray:
+    """Complemented node aggregates of the neighborhood signatures, word-major.
+
+    Column ``u`` is the complement of the OR of node ``u``'s members'
+    neighborhood signatures, ORed from the members here, since the index
+    keeps the neighborhood signatures of vertices only. The node-bound
+    soundness checks read it by node id.
+    """
+    members = tree_walk(index)[1]
+    agg = np.array([np.bitwise_or.reduce(index.aux.nbv[m], axis=0) for m in members])
+    return complemented(agg)
 
 
 # --- the traversal's predicates, one pair at a time --------------------------
 
 
 def complemented(rows: np.ndarray) -> np.ndarray:
-    """Signature rows ``(n, groups, words)`` as the predicates read them.
+    """Signature rows ``(n, groups * words)`` as the predicates read them.
 
     That is complemented and word-major, ``(groups * words, n)``, the layout
-    of ``SubgraphIndex.entry_bv_neg``.
+    of ``SubgraphIndex.entry_bv_neg`` and ``nbv_neg``.
     """
-    return np.ascontiguousarray(~rows.reshape(len(rows), -1).T)
+    return np.ascontiguousarray(~rows.T)
 
 
 def pair_contained(neg: np.ndarray, entry: int, qside: QuerySideData, qj: int) -> bool:
@@ -367,14 +369,13 @@ def audit_structure(index, g) -> None:
     assert index.depth() <= depth_bound(cfg, g.vertex_count)
     n = index.node_count()
     assert index.entry_table.shape[0] == n
-    assert index.entry_bv_neg.shape[1] == index.entry_nbv_neg.shape[1] == n + g.vertex_count
+    assert index.entry_bv_neg.shape[1] == n + g.vertex_count
     # the vertex entries follow the nodes, in vertex order
     assert np.array_equal(index.entry_bv_neg[:, n:], complemented(aux.bv))
-    assert np.array_equal(index.entry_nbv_neg[:, n:], complemented(aux.nbv))
-    agg_bv, agg_nbv = index_aggregates(index)
+    assert np.array_equal(index.nbv_neg, complemented(aux.nbv))
+    agg_bv = ~index.entry_bv_neg[:, :n].T
     for u, (kids, idx) in enumerate(zip(children, members)):
         assert np.array_equal(agg_bv[u], np.bitwise_or.reduce(aux.bv[idx], axis=0))
-        assert np.array_equal(agg_nbv[u], np.bitwise_or.reduce(aux.nbv[idx], axis=0))
         row = index.entry_table[u]
         entries = row[row >= 0].tolist()
         # a row is its entries, then only padding
@@ -405,7 +406,7 @@ def _query_rows(qside: QuerySideData) -> tuple[np.ndarray, list[np.ndarray], np.
     so the reference shares no query-side data with the engine.
     """
     q = qside.query
-    bv = build_bit_vectors(q.keywords, qside.cfg).reshape(q.vertex_count, -1)
+    bv = build_bit_vectors(q.keywords, qside.cfg, q.keyword_domain_size)
     nbr_rows = [bv[list(a)] for a in q.adjacency]
     degrees = np.array([len(a) for a in q.adjacency], dtype=np.int64)
     return bv, nbr_rows, degrees
@@ -469,8 +470,7 @@ def reference_candidates(
     """
     query_rows = _query_rows(qside)
     nq = len(query_rows[1])
-    flat_bv = index.aux.flat_bv()
-    flat_nbv = index.aux.flat_nbv()
+    bv, nbv = index.aux.bv, index.aux.nbv
     children, members = tree_walk(index)
     buckets: list[list[np.ndarray]] = [[] for _ in range(nq)]
     stack = [(0, np.arange(nq, dtype=np.int64))]
@@ -481,8 +481,8 @@ def reference_candidates(
         if not children[node]:
             idx = np.array(members[node], dtype=np.int64)
             keep = _leaf_survivors(
-                flat_bv[idx],
-                flat_nbv[idx],
+                bv[idx],
+                nbv[idx],
                 degrees[idx],
                 query_rows,
                 live,
@@ -497,7 +497,7 @@ def reference_candidates(
             for child in children[node]:
                 idx = members[child]
                 child_live = _node_live(
-                    np.bitwise_or.reduce(flat_bv[idx], axis=0), query_rows[0], live
+                    np.bitwise_or.reduce(bv[idx], axis=0), query_rows[0], live
                 )
                 if child_live.size:
                     stack.append((child, child_live))

@@ -56,6 +56,7 @@ from tests.conftest import (
     alternative_plan,
     audit_structure,
     mapping_set,
+    node_nbv_neg,
     pair_contained,
     pair_shortfall,
     pair_uncovered,
@@ -226,7 +227,7 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
         index = pool_indexes[i]
         side = build_query_side(q, SIG)
         degrees = g.degree_vector
-        nbv_neg = index.entry_nbv_neg
+        nbv_neg = index.nbv_neg
         # complete per-pair check: no valid mapping can push more of q_j's
         # neighbors into N(v_i) than the best keyword-feasible matching, so
         # deg - matching lower-bounds ND under every valid mapping and both
@@ -242,7 +243,7 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                 ]
                 floor = len(nbrs_q) - _max_matching(left, len(nbrs_v))
                 assert pair_shortfall(degrees, vi, side, qj) <= floor
-                assert pair_uncovered(nbv_neg, vertex_entry(index, vi), side, qj) <= floor
+                assert pair_uncovered(nbv_neg, vi, side, qj) <= floor
                 checked_pairs += 1
         # definition-level check on instances cheap enough to enumerate
         if inst.product <= EXHAUSTIVE_PRODUCT_BUDGET:
@@ -253,14 +254,14 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                 for qj, vi in enumerate(combo):
                     nd = neighbor_difference(g, q, combo, qj)
                     assert pair_shortfall(degrees, vi, side, qj) <= nd
-                    assert pair_uncovered(nbv_neg, vertex_entry(index, vi), side, qj) <= nd
+                    assert pair_uncovered(nbv_neg, vi, side, qj) <= nd
         # node bound never exceeds any member's tight bound
+        nodes_neg = node_nbv_neg(index)
         for node, members in enumerate(tree_walk(index)[1]):
             for qj in range(q.vertex_count):
-                node_lb = pair_uncovered(nbv_neg, node, side, qj)
+                node_lb = pair_uncovered(nodes_neg, node, side, qj)
                 assert node_lb <= min(
-                    pair_uncovered(nbv_neg, vertex_entry(index, vi), side, qj)
-                    for vi in members
+                    pair_uncovered(nbv_neg, vi, side, qj) for vi in members
                 )
     assert checked_pairs > 0 and checked_mappings > 0
     print(
@@ -276,6 +277,7 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
         index = pool_indexes[i]
         side = build_query_side(q, SIG)
         node_members = [set(members) for members in tree_walk(index)[1]]
+        nodes_neg = node_nbv_neg(index)
         for aggregate in (MAX, SUM):
             for ans in pool_answers[i, aggregate]:
                 for qj, vi in enumerate(ans.mapping):
@@ -283,7 +285,7 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
                     if not pair_contained(index.entry_bv_neg, entry, side, qj):
                         fired += 1
                     deg_lb = pair_shortfall(g.degree_vector, vi, side, qj)
-                    tight_lb = pair_uncovered(index.entry_nbv_neg, entry, side, qj)
+                    tight_lb = pair_uncovered(index.nbv_neg, vi, side, qj)
                     if deg_lb > sigma or tight_lb > sigma:
                         fired += 1
                     for node, members in enumerate(node_members):
@@ -291,7 +293,7 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
                             continue
                         if not pair_contained(index.entry_bv_neg, node, side, qj):
                             fired += 1
-                        if pair_uncovered(index.entry_nbv_neg, node, side, qj) > sigma:
+                        if pair_uncovered(nodes_neg, node, side, qj) > sigma:
                             fired += 1
     assert fired == 0
     print("\nACCEPTANCE 4 pruning soundness (zero false prunes): PASS")

@@ -630,7 +630,7 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     qside = build_query_side(q, index.sig_config)
     entry = vertex_entry(index, 0)
     assert pair_contained(index.entry_bv_neg, entry, qside, 0)
-    assert pair_uncovered(index.entry_nbv_neg, entry, qside, 0) == 0
+    assert pair_uncovered(index.nbv_neg, 0, qside, 0) == 0
     assert pair_shortfall(g.degree_vector, 0, qside, 0) == 2
     assert collect(index, g, q, 1, ablation=Ablation.KS)[0][0].tolist() == [0, 2]
     for ab in (Ablation.KS_LB, Ablation.KS_LB_TIGHT):
@@ -648,7 +648,7 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     entry = vertex_entry(index, 0)
     assert pair_contained(index.entry_bv_neg, entry, qside, 0)
     assert pair_shortfall(g.degree_vector, 0, qside, 0) == 0
-    assert pair_uncovered(index.entry_nbv_neg, entry, qside, 0) == 1
+    assert pair_uncovered(index.nbv_neg, 0, qside, 0) == 1
     for ab in (Ablation.KS, Ablation.KS_LB):
         assert collect(index, g, q, 0, ablation=ab)[0][0].tolist() == [0, 3]
     assert collect(index, g, q, 0, ablation=Ablation.KS_LB_TIGHT)[0][0].tolist() == [3]

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s3and import (
-    DUMMY_KEYWORD,
     GraphParseError,
     GraphValidationError,
     format_graph,
@@ -15,6 +14,7 @@ from s3and import (
     parse_graph,
     parse_query,
 )
+from s3and.graph import DUMMY_KEYWORD
 
 from conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
 

@@ -16,7 +16,6 @@ from s3and import (
     SignatureConfig,
     build_aux,
     build_index,
-    cm_partitioning,
     load_index,
     save_index,
 )
@@ -24,9 +23,10 @@ from s3and.index import (
     DIGEST_SIZE,
     _HEADER,
     _assign_capacitated,
+    _cm_partitioning,
     _distance_matrix,
+    _unpack_bits,
 )
-from s3and.signatures import unpack_bits
 from s3and.workbench import SyntheticSpec, generate_graph
 from tests.conftest import audit_structure, partition_cost, reference_assign_capacitated
 
@@ -39,7 +39,7 @@ _SHAPE_AND_DERIVED = (
     "permutation",
     "entry_table",
     "entry_bv_neg",
-    "entry_nbv_neg",
+    "nbv_neg",
 )
 
 
@@ -70,8 +70,8 @@ def structurally_equal(a, b) -> bool:
 
 def test_l1_distance_to_own_bits_is_zero():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
-    bv = np.array([[[0b1011], [0b0100]], [[0b0110], [0b1001]]], dtype=np.uint64)
-    own = unpack_bits(bv, cfg).astype(np.float64)
+    bv = np.array([[0b1011, 0b0100], [0b0110, 0b1001]], dtype=np.uint64)
+    own = _unpack_bits(bv, cfg).astype(np.float64)
     assert np.diag(_distance_matrix(own, own.sum(axis=1), own)).tolist() == [0.0, 0.0]
 
 
@@ -82,8 +82,8 @@ def test_l1_distance_zero_vs_ones():
 def test_l1_distance_matches_scalar_loop():
     cfg = SignatureConfig(group_count=2, bits_per_group=8)
     rng = np.random.default_rng(2)
-    bv = rng.integers(0, 256, (10, 2, 1)).astype(np.uint64)
-    rows = unpack_bits(bv, cfg).astype(np.float32)
+    bv = rng.integers(0, 256, (10, 2)).astype(np.uint64)
+    rows = _unpack_bits(bv, cfg).astype(np.float32)
     centroids = rng.random((3, 16)).astype(np.float32)
     got = _distance_matrix(rows, rows.sum(axis=1), centroids)
     for i in range(10):
@@ -91,7 +91,7 @@ def test_l1_distance_matches_scalar_loop():
             expect = 0.0
             for grp in range(2):
                 for pos in range(8):
-                    bit = (int(bv[i, grp, 0]) >> pos) & 1
+                    bit = (int(bv[i, grp]) >> pos) & 1
                     expect += abs(bit - float(centroids[p, grp * 8 + pos]))
             assert got[i, p] == pytest.approx(expect, rel=1e-5)
 
@@ -155,7 +155,7 @@ def test_split_cost_is_cost_of_returned_parts():
     for trial in range(8):
         count = int(rng.integers(8, 40))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float32)
-        parts = cm_partitioning(
+        parts = _cm_partitioning(
             np.arange(count), 3, IndexConfig(fanout=3), bits, np.random.default_rng(trial)
         )
         assert partition_cost(parts, bits) == pytest.approx(
@@ -241,7 +241,7 @@ def test_cm_recovers_separated_clusters():
     bits = _cluster_bits()
     cfg = IndexConfig(fanout=2)
     rng = np.random.default_rng(0)
-    parts = cm_partitioning(np.arange(6), 2, cfg, bits, rng)
+    parts = _cm_partitioning(np.arange(6), 2, cfg, bits, rng)
     groups = {frozenset(map(int, p)) for p in parts if len(p)}
     assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
     assert partition_cost(parts, bits) == 0.0
@@ -250,7 +250,7 @@ def test_cm_recovers_separated_clusters():
 def test_cm_cost_not_above_enumerated_optimum():
     bits = _cluster_bits()
     cfg = IndexConfig(fanout=2)
-    parts = cm_partitioning(np.arange(6), 2, cfg, bits, np.random.default_rng(0))
+    parts = _cm_partitioning(np.arange(6), 2, cfg, bits, np.random.default_rng(0))
     got = partition_cost(parts, bits)
     cap = math.ceil((1 + cfg.gamma) * 6 / 2)
     best = min(
@@ -266,14 +266,14 @@ def test_cm_cost_not_above_enumerated_optimum():
 
 def test_cm_few_members_become_singletons():
     bits = np.eye(4)
-    parts = cm_partitioning(np.array([3, 1, 2]), 8, IndexConfig(), bits, np.random.default_rng(0))
+    parts = _cm_partitioning(np.array([3, 1, 2]), 8, IndexConfig(), bits, np.random.default_rng(0))
     assert [list(p) for p in parts] == [[3], [1], [2]]
 
 
 def test_cm_identical_vectors_stay_within_cap():
     bits = np.ones((8, 4))
     cfg = IndexConfig(fanout=2)
-    parts = cm_partitioning(np.arange(8), 2, cfg, bits, np.random.default_rng(1))
+    parts = _cm_partitioning(np.arange(8), 2, cfg, bits, np.random.default_rng(1))
     cap = math.ceil((1 + cfg.gamma) * 8 / 2)
     assert sum(len(p) for p in parts) == 8
     assert all(len(p) <= cap for p in parts)
@@ -287,7 +287,7 @@ def test_cm_respects_cap_on_random_input():
         n = int(rng.integers(2, 5))
         bits = (rng.random((count, 10)) < 0.3).astype(np.float64)
         cfg = IndexConfig(fanout=n, gamma=float(rng.choice([0.0, 0.1, 0.2])))
-        parts = cm_partitioning(np.arange(count), n, cfg, bits, np.random.default_rng(trial))
+        parts = _cm_partitioning(np.arange(count), n, cfg, bits, np.random.default_rng(trial))
         cap = math.ceil((1 + cfg.gamma) * count / n)
         assert all(len(p) <= cap for p in parts)
         flat = sorted(int(v) for p in parts for v in p)
@@ -297,8 +297,8 @@ def test_cm_respects_cap_on_random_input():
 def test_cm_deterministic_for_fixed_rng_seed():
     bits = (np.random.default_rng(3).random((20, 8)) < 0.5).astype(np.float64)
     cfg = IndexConfig(fanout=3)
-    a = cm_partitioning(np.arange(20), 3, cfg, bits, np.random.default_rng(5))
-    b = cm_partitioning(np.arange(20), 3, cfg, bits, np.random.default_rng(5))
+    a = _cm_partitioning(np.arange(20), 3, cfg, bits, np.random.default_rng(5))
+    b = _cm_partitioning(np.arange(20), 3, cfg, bits, np.random.default_rng(5))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -310,7 +310,7 @@ def test_cm_refinement_never_worse_than_initial():
     for trial in range(8):
         count = int(rng.integers(8, 30))
         bits = (rng.random((count, 12)) < 0.4).astype(np.float64)
-        parts = cm_partitioning(np.arange(count), 3, cfg, bits, np.random.default_rng(trial))
+        parts = _cm_partitioning(np.arange(count), 3, cfg, bits, np.random.default_rng(trial))
         best = partition_cost(parts, bits)
         centers = np.random.default_rng(trial).choice(count, size=3, replace=False)
         dist = _distance_matrix(bits, bits.sum(axis=1), bits[centers].astype(np.float32))
@@ -423,6 +423,21 @@ def test_save_load_round_trip(saved_index):
     index, path = saved_index
     loaded = load_index(path)
     assert structurally_equal(index, loaded)
+
+
+def test_index_file_bytes_are_pinned(tmp_path):
+    # a change to any signature bit, the tree or the file layout changes
+    # these bytes; the expected digest was taken from the format-3 writer
+    # before the signatures were built in bulk
+    g = generate_graph(SyntheticSpec(vertex_count=300, seed=5))
+    path = tmp_path / "pinned.idx"
+    save_index(build_index(g), path)
+    data = path.read_bytes()
+    assert len(data) == 27_125
+    assert hashlib.sha256(data).hexdigest() == (
+        "64c5257bee2b092db4ba1312c22521550fb15dd289f70f0bcf17561ef5e8edb1"
+    )
+    assert load_index(path).aux.bv.shape == (300, 5)
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -29,6 +29,7 @@ from s3and import (
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     complemented,
+    node_nbv_neg,
     pair_contained,
     pair_shortfall,
     pair_uncovered,
@@ -70,7 +71,7 @@ def test_query_side_layout(team_side, team_query):
     words = CFG.group_count * CFG.words_per_group
     assert team_side.bits.shape == (words, 5)
     assert team_side.neighbor_bits.shape == (3, words, 5)
-    own = build_aux(team_query, CFG).flat_bv()
+    own = build_aux(team_query, CFG).bv
     assert np.array_equal(team_side.bits, own.T)
     for qj, nbrs in enumerate(team_query.adjacency):
         # slot s of qj holds its s-th neighbor's signature, then zero padding
@@ -80,19 +81,18 @@ def test_query_side_layout(team_side, team_query):
 
 
 def test_uncovered_neighbors_fixture_golds(team_side, team_index):
-    nbv_neg = team_index.entry_nbv_neg
+    nbv_neg = team_index.nbv_neg
     # v0 ("ml", neighbors backend/frontend/design) covers q0's backend
     # neighbor but not the systems one
-    assert pair_uncovered(nbv_neg, vertex_entry(team_index, 0), team_side, 0) == 1
+    assert pair_uncovered(nbv_neg, 0, team_side, 0) == 1
     # v11 ("design", sole neighbor ml) covers neither of q0's neighbors
-    assert pair_uncovered(nbv_neg, vertex_entry(team_index, 11), team_side, 0) == 2
+    assert pair_uncovered(nbv_neg, 11, team_side, 0) == 2
 
 
 def test_uncovered_neighbors_zero_when_all_covered(team_side, team_index):
     # v3's neighborhood spans ml, backend, systems, data: q3's three
     # neighbors (backend, systems, data) are all covered
-    entry = vertex_entry(team_index, 3)
-    assert pair_uncovered(team_index.entry_nbv_neg, entry, team_side, 3) == 0
+    assert pair_uncovered(team_index.nbv_neg, 3, team_side, 3) == 0
 
 
 def test_keyword_contained_fails_on_disjoint_labels(team_side, team_index):
@@ -113,8 +113,8 @@ def test_keyword_contained_holds_for_true_matches(team_side, team_index):
 @given(st.sets(st.integers(0, 30), min_size=0, max_size=6), st.data())
 def test_keyword_contained_holds_for_subsets(big, data):
     sub = data.draw(st.sets(st.sampled_from(sorted(big)), max_size=len(big))) if big else set()
-    v_neg = complemented(build_bit_vectors([sorted(big)], CFG))
-    q_bits = build_bit_vectors([sorted(sub)], CFG).reshape(-1, 1)
+    v_neg = complemented(build_bit_vectors([sorted(big)], CFG, 31))
+    q_bits = build_bit_vectors([sorted(sub)], CFG, 31).reshape(-1, 1)
     assert keyword_contained(v_neg, [0], q_bits, [0])[0]
 
 
@@ -197,9 +197,7 @@ def test_node_uncovered_bounds_member_minimum(team_side, team_aux, team_index):
         for qj in range(5):
             node_lb = pair_uncovered(agg_neg, 0, team_side, qj)
             member_min = min(
-                pair_uncovered(
-                    team_index.entry_nbv_neg, vertex_entry(team_index, int(vi)), team_side, qj
-                )
+                pair_uncovered(team_index.nbv_neg, int(vi), team_side, qj)
                 for vi in members
             )
             assert node_lb <= member_min
@@ -219,11 +217,11 @@ def test_index_node_bounds_hold_on_random_build():
     q = generate_workload(g, WorkloadSpec(query_count=1, query_size=4, seed=11))[0]
     side = build_query_side(q, CFG)
     _, members = tree_walk(index)
+    nodes_neg = node_nbv_neg(index)
     for node, descendants in enumerate(members):
         for qj in range(q.vertex_count):
-            node_lb = pair_uncovered(index.entry_nbv_neg, node, side, qj)
+            node_lb = pair_uncovered(nodes_neg, node, side, qj)
             member_min = min(
-                pair_uncovered(index.entry_nbv_neg, vertex_entry(index, vi), side, qj)
-                for vi in descendants
+                pair_uncovered(index.nbv_neg, vi, side, qj) for vi in descendants
             )
             assert node_lb <= member_min

@@ -11,7 +11,6 @@ from s3and import (
     AggregateKind,
     QuerySpec,
     aggregated_neighbor_difference,
-    format_answer_line,
     format_answers,
     is_answer,
     keyword_feasible,
@@ -124,10 +123,10 @@ def test_query_spec_validation(team_query):
 
 def test_answer_formatting(team_graph, team_query):
     answers = oracle_search(team_graph, team_query, AggregateKind.MAX, 2)
-    line = format_answer_line(answers[0])
-    assert line == "a 2 0:0 1:1 2:2 3:3 4:4"
+    assert format_answers(answers[:1]) == "a 2 0:0 1:1 2:2 3:3 4:4\n"
     text = format_answers(answers)
     assert text.endswith("\n")
+    assert text.count("\n") == len(answers) > 1
     assert format_answers([]) == ""
 
 
