@@ -64,7 +64,7 @@ g = parse_graph(GRAPH)
 q = parse_query(QUERY, g)
 
 print(f"data graph: {g.vertex_count} vertices, {g.edge_count} edges")
-print(f"query:      {q.vertex_count} vertices, {len(q.edges)} edges")
+print(f"query:      {q.vertex_count} vertices, {q.edge_count} edges")
 
 # Vertices 0..4 carry exactly the requested skills, so map query vertex j
 # to data vertex j. The mapping is valid (keywords contained, image

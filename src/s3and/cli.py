@@ -19,7 +19,9 @@ import sys
 import time
 from pathlib import Path
 
-from .engine import Ablation, QueryStats, run_query
+import numpy as np
+
+from .engine import Ablation, QueryResult, run_query
 from .graph import load_graph, load_query, save_graph
 from .index import IndexConfig, build_index, load_index, save_index
 from .semantics import AggregateKind, QuerySpec, format_answers, oracle_search
@@ -122,11 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stats(path: str | None, stats: QueryStats) -> None:
-    if path:
-        Path(path).write_text(
-            json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8"
+def _report(args: argparse.Namespace, result: QueryResult) -> int:
+    """Print the answers and write the stats JSON if ``--stats-json`` asks."""
+    sys.stdout.write(format_answers(result.answers))
+    if args.stats_json:
+        Path(args.stats_json).write_text(
+            json.dumps(result.stats.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
+    return 0
 
 
 def _load_pair(args: argparse.Namespace):
@@ -198,36 +203,22 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     g, spec = _load_pair(args)
     index = load_index(args.index)
-    result = run_query(index, g, spec, ablation=Ablation(args.ablation))
-    sys.stdout.write(format_answers(result.answers))
-    _write_stats(args.stats_json, result.stats)
-    return 0
+    return _report(args, run_query(index, g, spec, ablation=Ablation(args.ablation)))
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     g, spec = _load_pair(args)
-    result = run_baseline(g, spec)
-    sys.stdout.write(format_answers(result.answers))
-    _write_stats(args.stats_json, result.stats)
-    return 0
+    return _report(args, run_baseline(g, spec))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g, spec = _load_pair(args)
-    t0 = time.perf_counter()
-    answers = oracle_search(g, spec.query, spec.aggregate, spec.sigma)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    sys.stdout.write(format_answers(answers))
-    stats = QueryStats(
-        pruning_power=0.0,
-        nodes_visited=0,
-        candidates_per_qvertex=[g.vertex_count] * spec.query.vertex_count,
-        wall_ms=wall_ms,
-        answers=len(answers),
-        distinct_vertex_sets=len({a.vertex_set for a in answers}),
-    )
-    _write_stats(args.stats_json, stats)
-    return 0
+    q = spec.query
+    # the oracle tries every vertex for every query vertex
+    every = [np.arange(g.vertex_count)] * q.vertex_count
+    started = time.perf_counter()
+    answers = oracle_search(g, q, spec.aggregate, spec.sigma)
+    return _report(args, QueryResult.measured(g, q, started, every, answers))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

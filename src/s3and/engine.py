@@ -70,7 +70,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -150,9 +150,48 @@ class QueryStats:
 
 @dataclass
 class QueryResult:
+    """One run's answers, its candidates per query vertex, and its stats.
+
+    Every run builds its result with :meth:`measured`: the engine from the
+    rechecked index candidates, the baseline from its keyword scan, and the
+    oracle from every vertex, so all three report the same stats fields by
+    the same formulas.
+    """
+
     answers: list[MatchAnswer]
     stats: QueryStats
-    candidates: list[np.ndarray] = field(default_factory=list)
+    candidates: list[np.ndarray]
+
+    @classmethod
+    def measured(
+        cls,
+        g: DataGraph,
+        q: QueryGraph,
+        started: float,
+        candidates: list[np.ndarray],
+        answers: list[MatchAnswer],
+        nodes_visited: int = 0,
+        **counters: int,
+    ) -> QueryResult:
+        """The result of a run that began at ``perf_counter()`` ``started``.
+
+        The wall time ends here. Pruning power is the share of (query
+        vertex, data vertex) pairs outside the candidates. ``counters`` set
+        the optional counts of :class:`QueryStats`; unset ones are 0.
+        """
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        sizes = [len(c) for c in candidates]
+        total_pairs = g.vertex_count * q.vertex_count
+        stats = QueryStats(
+            pruning_power=1.0 - sum(sizes) / total_pairs if total_pairs else 0.0,
+            nodes_visited=nodes_visited,
+            candidates_per_qvertex=sizes,
+            wall_ms=wall_ms,
+            answers=len(answers),
+            distinct_vertex_sets=len({a.vertex_set for a in answers}),
+            **counters,
+        )
+        return cls(answers, stats, candidates)
 
 
 def collect_candidates(
@@ -520,9 +559,6 @@ def run_query(
         c if exact.issuperset(need) else _containing(g, need, c)
         for need, c in zip(q.keyword_sets, raw)
     ]
-    sizes = [len(c) for c in candidates]
-    total_pairs = g.vertex_count * q.vertex_count
-    power = 1.0 - (sum(sizes) / total_pairs) if total_pairs else 0.0
     supported, killed = neighbor_support_filter(
         g, q, candidates, spec.aggregate, spec.sigma
     )
@@ -531,15 +567,13 @@ def run_query(
         answers = refine(g, q, plan, supported, spec.aggregate, spec.sigma)
     else:
         answers = []
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    stats = QueryStats(
-        pruning_power=power,
+    return QueryResult.measured(
+        g,
+        q,
+        t0,
+        candidates,
+        answers,
         nodes_visited=visited,
-        candidates_per_qvertex=sizes,
-        wall_ms=wall_ms,
-        answers=len(answers),
-        distinct_vertex_sets=len({a.vertex_set for a in answers}),
         support_killed=killed,
-        hash_false_positives=sum(map(len, raw)) - sum(sizes),
+        hash_false_positives=sum(map(len, raw)) - sum(map(len, candidates)),
     )
-    return QueryResult(answers=answers, stats=stats, candidates=candidates)

@@ -68,9 +68,8 @@ class DataGraph:
 
     ``adjacency[i]`` and ``keywords[i]`` are sorted tuples. ``keyword_names``
     maps a keyword id back to its token; its length is the keyword domain
-    size, and every keyword id is less than it. The set views and the edge
-    list are derived on first use, so a graph only pays for the ones its
-    callers read.
+    size, and every keyword id is less than it. The set views are derived on
+    first use, so a graph only pays for the ones its callers read.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -84,12 +83,6 @@ class DataGraph:
     @functools.cached_property
     def keyword_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(w) for w in self.keywords)
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
-        )
 
     @property
     def vertex_count(self) -> int:
@@ -279,8 +272,8 @@ def format_graph(g: DataGraph) -> str:
     for i in range(g.vertex_count):
         tokens = ",".join(g.keyword_names[k] for k in g.keywords[i])
         lines.append(f"v {i} {tokens}" if tokens else f"v {i}")
-    for u, v in g.edges:
-        lines.append(f"e {u} {v}")
+    for u, nbrs in enumerate(g.adjacency):
+        lines.extend(f"e {u} {v}" for v in nbrs if u < v)
     return "\n".join(lines) + "\n"
 
 

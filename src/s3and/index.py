@@ -69,6 +69,8 @@ __all__ = [
 
 INDEX_MAGIC = b"S3ANDIDX"
 INDEX_VERSION = 3
+# the file stores each keyword name's UTF-8 length as a uint16
+MAX_KEYWORD_BYTES = 0xFFFF
 
 
 class IndexFormatError(ValueError):
@@ -400,7 +402,9 @@ def save_index(index: SubgraphIndex, path: str | Path) -> None:
 
     The file holds the configs, the keyword table, the graph fingerprint,
     the per-vertex signatures and the tree shape, sealed by a digest; what
-    the shape and the signatures determine is derived again on load.
+    the shape and the signatures determine is derived again on load. A
+    keyword name longer than :data:`MAX_KEYWORD_BYTES` UTF-8 bytes raises
+    ``ValueError`` before anything is written.
     """
     sig = index.sig_config
     idx = index.index_config
@@ -424,6 +428,11 @@ def save_index(index: SubgraphIndex, path: str | Path) -> None:
     ]
     for name in index.keyword_names:
         data = name.encode("utf-8")
+        if len(data) > MAX_KEYWORD_BYTES:
+            raise ValueError(
+                f"a keyword name has {len(data)} UTF-8 bytes; an index file "
+                f"holds at most {MAX_KEYWORD_BYTES}"
+            )
         chunks += [struct.pack("<H", len(data)), data]
     chunks.append(index.graph_fingerprint)
     chunks += [index.aux.bv.astype("<u8").tobytes(), index.aux.nbv.astype("<u8").tobytes()]

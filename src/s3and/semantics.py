@@ -25,7 +25,6 @@ __all__ = [
     "AggregateKind",
     "QuerySpec",
     "MatchAnswer",
-    "Mapping",
     "neighbor_difference",
     "aggregated_neighbor_difference",
     "keyword_feasible",

@@ -34,7 +34,6 @@ from .graph import DataGraph
 __all__ = [
     "SignatureConfig",
     "AuxData",
-    "build_bit_vectors",
     "exact_keywords",
     "build_aux",
 ]
@@ -136,7 +135,10 @@ def build_bit_vectors(
 
     Every keyword id must lie in ``[0, domain)``, as
     :func:`~s3and.graph.make_graph` ensures for a graph's ids and its
-    ``keyword_domain_size``.
+    ``keyword_domain_size``; the ids are not checked again here. An id at
+    or past ``domain`` raises ``IndexError``, but a negative id ``k`` would
+    silently set the bit of ``k + domain``, so the function is kept out of
+    the package's exports and takes only validated ids.
     """
     word, mask = _keyword_table(cfg, domain)
     sizes = [len(ws) for ws in keyword_sets]

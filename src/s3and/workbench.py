@@ -34,14 +34,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .engine import (
-    Ablation,
-    QueryResult,
-    QueryStats,
-    make_query_plan,
-    refine,
-    run_query,
-)
+from .engine import Ablation, QueryResult, make_query_plan, refine, run_query
 from .graph import DataGraph, QueryGraph, induced_subgraph, is_connected, make_graph
 from .index import IndexConfig, build_index
 from .semantics import AggregateKind, QuerySpec, keyword_feasible
@@ -52,7 +45,6 @@ __all__ = [
     "WorkloadSpec",
     "BenchConfig",
     "BenchRow",
-    "DESK_SCALE_LIMIT",
     "generate_graph",
     "generate_workload",
     "run_baseline",
@@ -239,24 +231,12 @@ def run_baseline(g: DataGraph, spec: QuerySpec) -> QueryResult:
         )
         for qj in range(q.vertex_count)
     ]
-    sizes = [len(c) for c in candidates]
-    total_pairs = g.vertex_count * q.vertex_count
-    power = 1.0 - (sum(sizes) / total_pairs) if total_pairs else 0.0
     plan = make_query_plan(q, candidates)
-    if all(sizes):
+    if all(map(len, candidates)):
         answers = refine(g, q, plan, candidates, spec.aggregate, spec.sigma)
     else:
         answers = []
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    stats = QueryStats(
-        pruning_power=power,
-        nodes_visited=0,
-        candidates_per_qvertex=sizes,
-        wall_ms=wall_ms,
-        answers=len(answers),
-        distinct_vertex_sets=len({a.vertex_set for a in answers}),
-    )
-    return QueryResult(answers=answers, stats=stats, candidates=candidates)
+    return QueryResult.measured(g, q, t0, candidates, answers)
 
 
 # --- benchmark harness ----------------------------------------------------

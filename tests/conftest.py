@@ -27,7 +27,6 @@ from s3and import (
     SignatureConfig,
     SyntheticSpec,
     WorkloadSpec,
-    build_bit_vectors,
     build_index,
     degree_shortfall,
     generate_graph,
@@ -40,6 +39,7 @@ from s3and import (
 )
 from s3and.index import _cost
 from s3and.pruning import QuerySideData
+from s3and.signatures import build_bit_vectors
 
 TEAM_GRAPH_TEXT = """t 12 13
 v 0 ml
@@ -117,6 +117,11 @@ def naive_answers(
         for m in itertools.permutations(range(g.vertex_count), q.vertex_count)
         if is_answer(g, q, m, aggregate, sigma)
     )
+
+
+def edge_list(g: DataGraph) -> list[tuple[int, int]]:
+    """Every edge of ``g`` once, as ``(u, v)`` with ``u < v``, in file order."""
+    return [(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
 
 
 def mapping_set(answers) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -9,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from s3and import IndexConfig, SignatureConfig, load_graph, load_index
+from s3and import (
+    IndexConfig,
+    QueryStats,
+    SignatureConfig,
+    load_graph,
+    load_index,
+    load_query,
+)
 from s3and.cli import main
 from tests.conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
 from tests.test_index import huge_node_count, resealed_node_count, zeroed_signatures
@@ -129,6 +137,49 @@ def test_baseline_stats_json(team_files, tmp_path, capsys):
         "--agg", "sum", "--sigma", "4", "--stats-json", stats_path,
     )
     assert json.loads(stats_path.read_text())["support_killed"] == 0
+
+
+def test_query_baseline_and_oracle_write_the_same_stats(team_files, tmp_path, capsys):
+    graph, query = team_files
+    idx = tmp_path / "team.idx"
+    run(capsys, "index", "--graph", graph, "--out", idx, "--fanout", 4)
+    spec = ["--graph", graph, "--query", query, "--agg", "sum", "--sigma", "4"]
+    stats = {}
+    for command, extra in (("query", ["--index", idx]), ("baseline", []), ("oracle", [])):
+        path = tmp_path / f"{command}.json"
+        run(capsys, command, *extra, *spec, "--stats-json", path)
+        stats[command] = json.loads(path.read_text())
+    fields = [f.name for f in dataclasses.fields(QueryStats)]
+    assert all(list(s) == fields for s in stats.values())
+    oracle = stats["oracle"]
+    g = load_graph(graph)
+    every = [g.vertex_count] * load_query(query, g).vertex_count
+    assert oracle["candidates_per_qvertex"] == every
+    assert oracle["pruning_power"] == 0.0
+    assert oracle["nodes_visited"] == 0
+    assert oracle["answers"] == stats["query"]["answers"] == stats["baseline"]["answers"]
+
+
+def test_keyword_names_up_to_the_index_limit_save(tmp_path, capsys):
+    graph = tmp_path / "long.graph"
+    name = "k" * 65_535
+    graph.write_text(f"t 2 1\nv 0 {name}\nv 1 b\ne 0 1\n", encoding="utf-8")
+    idx = tmp_path / "long.idx"
+    run(capsys, "index", "--graph", graph, "--out", idx)
+    assert name in load_index(idx).keyword_names
+
+
+# one ASCII byte past the limit, and 32,768 two-byte characters: fewer
+# characters than the limit, more bytes
+@pytest.mark.parametrize("name", ["k" * 65_536, "\u00e9" * 32_768], ids=["ascii", "utf8"])
+def test_keyword_name_past_the_index_limit_is_a_one_line_error(tmp_path, capsys, name):
+    graph = tmp_path / "long.graph"
+    graph.write_text(f"t 2 1\nv 0 {name}\nv 1 b\ne 0 1\n", encoding="utf-8")
+    idx = tmp_path / "long.idx"
+    assert_one_line_error(
+        capsys, ["index", "--graph", graph, "--out", idx], "at most 65535"
+    )
+    assert not idx.exists()
 
 
 def test_bench_writes_csv_and_json(tmp_path, capsys):

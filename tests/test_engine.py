@@ -33,6 +33,7 @@ from s3and import engine
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     alternative_plan,
+    edge_list,
     mapping_set,
     pair_contained,
     pair_shortfall,
@@ -292,7 +293,7 @@ def test_refine_matches_sigma_zero_embedding_enumeration():
             if len(set(combo)) != q.vertex_count:
                 continue
             if all(
-                combo[b] in g.adjacency_sets[combo[a]] for a, b in q.edges
+                combo[b] in g.adjacency_sets[combo[a]] for a, b in edge_list(q)
             ):
                 expect.add(combo)
         plan = make_query_plan(q, cands)
@@ -605,7 +606,7 @@ def test_run_query_rejects_index_of_another_graph():
 def test_run_query_rejects_foreign_keyword_table(small_index, team_graph, team_query):
     renamed = make_graph(
         12,
-        team_graph.edges,
+        edge_list(team_graph),
         [list(k) for k in team_graph.keywords],
         [n.upper() for n in team_graph.keyword_names],
     )

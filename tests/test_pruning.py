@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from s3and import (
     SignatureConfig,
     build_aux,
-    build_bit_vectors,
     build_index,
     build_query_side,
     degree_shortfall,
@@ -26,6 +25,7 @@ from s3and import (
     make_graph,
     neighbor_difference,
 )
+from s3and.signatures import build_bit_vectors
 from s3and.workbench import SyntheticSpec, WorkloadSpec, generate_graph, generate_workload
 from tests.conftest import (
     complemented,

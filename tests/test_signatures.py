@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from s3and import (
     SignatureConfig,
     build_aux,
-    build_bit_vectors,
     build_query_side,
     exact_keywords,
     keyword_contained,
@@ -17,7 +16,7 @@ from s3and import (
     parse_query,
 )
 from s3and.index import _unpack_bits
-from s3and.signatures import MAX_SIGNATURE_WORDS
+from s3and.signatures import MAX_SIGNATURE_WORDS, build_bit_vectors
 from tests.conftest import complemented
 
 

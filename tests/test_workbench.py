@@ -25,7 +25,7 @@ from s3and import (
     write_bench_json,
 )
 from s3and.workbench import CSV_FIELDS, DEFAULT_SWEEPS, DESK_SCALE_LIMIT
-from tests.conftest import mapping_set, random_instance
+from tests.conftest import edge_list, mapping_set, random_instance
 
 MAX = AggregateKind.MAX
 SUM = AggregateKind.SUM
@@ -50,7 +50,7 @@ def test_generate_graph_deterministic():
 def test_generate_graph_contains_ring():
     g = generate_graph(SMALL)
     n = g.vertex_count
-    edge_set = set(g.edges)
+    edge_set = set(edge_list(g))
     for i in range(n):
         for d in (1, 2):
             u, v = i, (i + d) % n
@@ -61,7 +61,7 @@ def test_generate_graph_edge_count_range():
     g = generate_graph(SMALL)
     n = g.vertex_count
     ring = n * SMALL.ring_neighbors
-    assert ring <= len(g.edges) <= ring + n
+    assert ring <= len(edge_list(g)) <= ring + n
 
 
 def test_generate_graph_is_connected():
@@ -166,7 +166,7 @@ def test_workload_single_vertex_queries():
     queries = generate_workload(g, WorkloadSpec(query_count=3, query_size=1, seed=0))
     for q in queries:
         assert q.vertex_count == 1
-        assert q.edges == ()
+        assert edge_list(q) == []
 
 
 def test_workload_full_drop_leaves_trees():
@@ -175,7 +175,7 @@ def test_workload_full_drop_leaves_trees():
         g, WorkloadSpec(query_count=5, query_size=6, edge_drop_probability=1.0, seed=7)
     )
     for q in queries:
-        assert len(q.edges) == 5
+        assert len(edge_list(q)) == 5
         assert is_connected(q)
 
 
@@ -185,7 +185,7 @@ def test_workload_no_drop_keeps_induced_edges():
         g, WorkloadSpec(query_count=5, query_size=6, edge_drop_probability=0.0, seed=8)
     )
     for q in queries:
-        assert len(q.edges) >= 5
+        assert len(edge_list(q)) >= 5
 
 
 def test_workload_deterministic():
