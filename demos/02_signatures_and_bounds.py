@@ -7,13 +7,13 @@ neighbors' vectors. Superset tests on these vectors have no false
 negatives, so they can discard candidate pairs before any exact work. Two
 cheap lower bounds on the neighbor difference stack on top.
 
-The predicates are the batch functions the tree traversal runs: each takes
-many (entry, query vertex) pairs as two index arrays, over the index's
-complemented, word-major signature arrays. For the keyword check, tree
-nodes and data vertices share one array: node ``u`` is entry ``u`` and
-vertex ``v`` is entry ``node_count() + v``. The neighborhood bound runs on
-data vertices only, so its array is read by vertex id. Here every call asks
-about a whole row of data vertices against one query vertex.
+The predicates are the batch functions the tree traversal runs on data
+vertices: each takes many (vertex, query vertex) pairs as two index
+arrays, over the index's complemented, word-major signature arrays, read
+by vertex id. Tree nodes get the keyword check all at once instead, from
+the index's bit-sliced table of node aggregates (``nodes_containing``).
+Here every call asks about a whole row of data vertices against one query
+vertex.
 """
 
 import numpy as np
@@ -79,7 +79,6 @@ index = build_index(g, sig_config=cfg)
 aux = index.aux
 side = build_query_side(q, cfg)
 vertices = np.arange(g.vertex_count)
-entries = index.node_count() + vertices
 
 words = f"{cfg.group_count} groups of {cfg.words_per_group}"
 print(f"signature per vertex: {aux.bv.shape[1]} packed 64-bit words ({words})")
@@ -90,8 +89,8 @@ print(f"vertex 0 neighborhood bits: {[hex(int(w)) for w in aux.nbv[0]]}")
 # vertex, so the bit test alone removes them from every candidate set.
 print("\nvertices pruned by the keyword bits alone, per query vertex:")
 for qj in range(q.vertex_count):
-    qv = np.full_like(entries, qj)
-    kept = keyword_contained(index.entry_bv_neg, entries, side.bits, qv)
+    qv = np.full_like(vertices, qj)
+    kept = keyword_contained(index.bv_neg, vertices, side.bits, qv)
     print(f"  query vertex {qj}: {vertices[~kept].tolist()}")
 
 # The degree bound: a data vertex with fewer neighbors than the query

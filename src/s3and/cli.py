@@ -23,7 +23,13 @@ import numpy as np
 
 from .engine import Ablation, QueryResult, run_query
 from .graph import load_graph, load_query, save_graph
-from .index import IndexConfig, build_index, load_index, save_index
+from .index import (
+    IndexConfig,
+    build_index,
+    check_keyword_names,
+    load_index,
+    save_index,
+)
 from .semantics import AggregateKind, QuerySpec, format_answers, oracle_search
 from .signatures import SignatureConfig, exact_keywords
 from .workbench import (
@@ -185,6 +191,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     g = load_graph(args.graph)
+    check_keyword_names(g.keyword_names)
     t0 = time.perf_counter()
     index = build_index(g, sig, idx_cfg)
     built_ms = (time.perf_counter() - t0) * 1000.0

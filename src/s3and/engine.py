@@ -42,27 +42,26 @@ would stay isolated, and the last query vertex must touch every connected
 component of the partial image. So every complete mapping is connected
 and within ``sigma`` before :func:`is_answer` checks it.
 
-Traversal keeps, per tree node, the subset of query vertices the node is
-still live for. A child inherits its parent's live set minus the query
-vertices whose keyword bits its aggregate signature lacks; a node with an
-empty live set is never visited. Nodes get this keyword check only. The two
-neighbor-difference bounds run once, over the vertex hits: the degree bound
-first, as the cheaper test, then the tight bound. A node's tight bound is at
-most each member's, so running it on the members instead loses no
-candidate pruning; on nodes it killed few pairs and its per-level array
-work cost more than it saved. The traversal is level-synchronous: one tree
-depth at a time, the live (node, query vertex) pairs sit in two index
-arrays and the keyword check runs over all of them in a few numpy
-operations, in the frontier-at-a-time style of linear-algebra graph
-traversal. Nodes and vertices share the index's entry id space, node ``u``
-at ``u`` and vertex ``v`` at the node count plus ``v``, so a leaf's members
-and an internal node's children are expanded and tested by the same level
-body, whatever the mix of leaves and internal nodes at a depth. Every live
-pair is tested exactly once. The candidates do not depend on the tree: a
-node's aggregate holds each member's bits, so no vertex that passes the
-keyword check is cut off above it, and every vertex hit gets every
-vertex-level test. ``nodes_visited`` depends on the tree and the query's
-keyword bits, not on the ablation.
+Traversal tests every tree node against every query vertex in one pass.
+A node's aggregate signature is the OR of its children's, so a top-down
+walk that drops a node lacking one of a query vertex's keyword bits
+reaches exactly the nodes whose aggregate holds all of them. The index
+keeps its aggregates bit-sliced, one packed set of nodes per signature bit
+position, so those nodes are the AND of the sets of the vertex's bit
+positions (:func:`~s3and.pruning.nodes_containing`), in the manner of
+bit-sliced signature files (Faloutsos and Christodoulakis, 1984). The
+contained leaves expand to their members, which get the vertex keyword
+check. Nodes get this keyword check only. The two neighbor-difference
+bounds run once, over the vertex hits: the degree bound first, as the
+cheaper test, then the tight bound. A node's tight bound is at most each
+member's, so running it on the members instead loses no candidate
+pruning; on nodes it killed few pairs and its array work cost more than it
+saved. The candidates do not depend on the tree: a node's aggregate holds
+each member's bits, so no vertex that passes the keyword check is cut off
+above it, and every vertex hit gets every vertex-level test.
+``nodes_visited`` counts the nodes a walk would visit: the root, where
+every walk starts, and each node contained for some query vertex. It
+depends on the tree and the query's keyword bits, not on the ablation.
 """
 
 from __future__ import annotations
@@ -82,6 +81,7 @@ from .pruning import (
     build_query_side,
     degree_shortfall,
     keyword_contained,
+    nodes_containing,
     uncovered_neighbors,
 )
 from .semantics import (
@@ -201,16 +201,15 @@ def collect_candidates(
     degrees: np.ndarray,
     ablation: Ablation = Ablation.KS_LB_TIGHT,
 ) -> tuple[list[np.ndarray], int]:
-    """Traverse the tree, returning candidate vertex ids per query vertex.
+    """Candidate vertex ids per query vertex, from one pass over the tree.
 
-    Each level holds the live (node, query vertex) pairs of one tree depth
-    as two index arrays. The pairs expand to (entry, query vertex) pairs
-    over the index's entry table, which get the keyword check over the
-    entry signatures. Survivors with an entry id of at least the node count
-    are vertex hits; the rest are the next level's live pairs. Nodes get the
-    keyword check only: after the last level, the degree bound and then the
-    tight bound run once over all hits, by vertex id. A node counts as
-    visited when it holds at least one live pair; the root always does.
+    One AND over the index's bit-sliced node table gives each query
+    vertex's contained nodes, those whose aggregate holds all its bits.
+    The contained leaves expand to (member, query vertex) pairs through the
+    index's leaf member table, and the pairs get the keyword check over
+    the vertex signatures, then the degree bound and then the tight bound.
+    A node counts as visited when it is contained for some query vertex;
+    the root always does.
 
     ``degrees`` is the data graph's degree vector, needed by the degree
     bound. Returns ``(candidates, nodes_visited)``; candidate arrays are
@@ -220,39 +219,34 @@ def collect_candidates(
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     nq = qside.vertex_count
-    q_bits, q_nbr, q_deg = qside.bits, qside.neighbor_bits, qside.degrees
-    n = index.node_count()
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    nodes = np.zeros(nq, dtype=np.int64)
-    qv = np.arange(nq, dtype=np.int64)
-    hit_e: list[np.ndarray] = []
-    hit_q: list[np.ndarray] = []
-    while nodes.size:
-        # (entry, query vertex) pairs for every row entry of each live pair
-        rows = index.entry_table.take(nodes, axis=0)
-        valid = rows >= 0
-        e, eq = rows[valid], qv.repeat(rows.shape[1])[valid.ravel()]
-        keep = keyword_contained(index.entry_bv_neg, e, q_bits, eq)
-        e, eq = e[keep], eq[keep]
-        hit = e >= n
-        hit_e.append(e[hit])
-        hit_q.append(eq[hit])
-        inner = ~hit
-        nodes, qv = e[inner], eq[inner]
-        seen[nodes] = True
-    v, vq = np.concatenate(hit_e) - n, np.concatenate(hit_q)
+    contained = nodes_containing(index.node_bits, qside)
+    reached = _node_flags(np.bitwise_or.reduce(contained, axis=0))
+    reached[0] = True
+    # (query vertex, leaf node) pairs from the flat bit index of each
+    # contained leaf, row by row
+    flat = np.flatnonzero(_node_flags(contained & index.leaf_mask))
+    vq, node = np.divmod(flat, 64 * contained.shape[1])
+    rows = index.leaf_members.take(index.leaf_nodes.searchsorted(node), axis=0)
+    valid = rows >= 0
+    v, vq = rows[valid], vq.repeat(rows.shape[1])[valid.ravel()]
+    keep = keyword_contained(index.bv_neg, v, qside.bits, vq)
+    v, vq = v[keep], vq[keep]
     if ablation.lb_basic:
-        keep = degree_shortfall(degrees, v, q_deg, vq) <= sigma
+        keep = degree_shortfall(degrees, v, qside.degrees, vq) <= sigma
         v, vq = v[keep], vq[keep]
     if ablation.lb_tight:
-        keep = uncovered_neighbors(index.nbv_neg, v, q_nbr, vq) <= sigma
+        keep = uncovered_neighbors(index.nbv_neg, v, qside.neighbor_bits, vq) <= sigma
         v, vq = v[keep], vq[keep]
     # one sort orders by query vertex, then by vertex id
     key = np.sort(vq * index.vertex_count + v) % index.vertex_count
     bounds = np.bincount(vq, minlength=nq).cumsum().tolist()
     candidates = [key[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
-    return candidates, int(np.count_nonzero(seen))
+    return candidates, int(np.count_nonzero(reached))
+
+
+def _node_flags(sets: np.ndarray) -> np.ndarray:
+    """Packed node sets as one flag per node, flattened in row order."""
+    return np.unpackbits(sets.view(np.uint8), axis=None, bitorder="little").view(bool)
 
 
 def _containing(g: DataGraph, need: frozenset[int], cand: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Vertices are recursively partitioned by similarity of their keyword
 signatures; each tree node aggregates the OR of its members' signatures.
 Queries can then discard whole subtrees whose aggregate signature lacks a
 query vertex's keyword bits. The tree is kept as flat arrays: its shape,
-from which the aggregates and the traversal's entry table are derived (see
-:class:`SubgraphIndex`).
+from which the aggregates, bit-sliced by signature bit position, and the
+leaves' member table are derived (see :class:`SubgraphIndex`).
 
 Partitioning minimizes ``intra / (inter + 1)``: the sum of members' L1
 distances to their part's centroid over the summed pairwise centroid
@@ -51,6 +51,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -117,23 +118,27 @@ class SubgraphIndex:
     each leaf in turn. ``graph_fingerprint`` is the indexed graph's
     :attr:`DataGraph.fingerprint`.
 
-    Nodes and vertices share one id space of entries: node ``u`` is entry
-    ``u`` and vertex ``v`` is entry ``node_count() + v``. The remaining
-    fields are derived from the shape and ``aux`` on construction, and are
-    not saved to the index file:
+    The remaining fields are derived from the shape and ``aux`` on
+    construction, and are not saved to the index file:
 
-    - ``entry_table``: row ``u`` holds node ``u``'s entries, its children
-      or, for a leaf, its members, padded with -1.
-    - ``entry_bv_neg``: the bitwise complement of every entry's signature,
-      where a node's is the OR over its descendant members.
-    - ``nbv_neg``: the bitwise complement of every vertex's neighborhood
-      signature, read by vertex id. Nodes need none, since the tight bound
-      runs on vertex hits only.
+    - ``node_bits``: the node aggregates bit-sliced, where a node's
+      aggregate is the OR of its descendant members' signatures. Row ``p``
+      is the set of nodes whose aggregate has bit ``p`` (bit ``p % 64`` of
+      word ``p // 64`` of a signature row), and the last row, ``64 *
+      words``, holds every node. A set is packed eight nodes to a byte,
+      lowest node in the lowest bit, in whole ``uint64`` words; sets are
+      only ANDed and ORed, and ``np.unpackbits(..., bitorder="little")``
+      over their bytes reads the nodes back.
+    - ``leaf_mask``: the set of leaves, packed the same way.
+    - ``leaf_nodes``: the leaves' node ids, ascending.
+    - ``leaf_members``: row ``k`` holds the members of leaf
+      ``leaf_nodes[k]``, padded with -1.
+    - ``bv_neg`` and ``nbv_neg``: the bitwise complement of every vertex's
+      signature and neighborhood signature, read by vertex id.
 
-    Both arrays are word-major, ``(words, entries)`` and ``(words,
-    vertices)``, so that "query bits contained in s" reads ``q & ~s == 0``
-    and the OR over a signature's words is one reduction along the outer
-    axis.
+    ``bv_neg`` and ``nbv_neg`` are word-major, ``(words, vertices)``, so
+    that "query bits contained in s" reads ``q & ~s == 0`` and the OR over
+    a signature's words is one reduction along the outer axis.
     """
 
     index_config: IndexConfig
@@ -144,36 +149,34 @@ class SubgraphIndex:
     child_counts: np.ndarray
     leaf_sizes: np.ndarray
     permutation: np.ndarray
-    entry_table: np.ndarray = field(init=False, repr=False)
-    entry_bv_neg: np.ndarray = field(init=False, repr=False)
+    node_bits: np.ndarray = field(init=False, repr=False)
+    leaf_mask: np.ndarray = field(init=False, repr=False)
+    leaf_nodes: np.ndarray = field(init=False, repr=False)
+    leaf_members: np.ndarray = field(init=False, repr=False)
+    bv_neg: np.ndarray = field(init=False, repr=False)
     nbv_neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cc = self.child_counts
         n = cc.size
         leaf = cc == 0
-        sizes = np.zeros(n, dtype=np.int64)
-        sizes[leaf] = self.leaf_sizes
-        first_child = np.cumsum(cc) - cc + 1
-        first_member = np.cumsum(sizes) - sizes
-        self.entry_table = _padded(
-            np.where(leaf, n + first_member, first_child),
-            cc + sizes,
-            np.concatenate([np.arange(n), n + self.permutation]),
-        )
-        starts = _level_starts(cc)
+        self.leaf_nodes = np.flatnonzero(leaf)
+        first_member = np.cumsum(self.leaf_sizes) - self.leaf_sizes
+        self.leaf_members = _padded(first_member, self.leaf_sizes, self.permutation)
         bv = self.aux.bv
-        ent = np.empty((n + self.vertex_count, bv.shape[1]), dtype=bv.dtype)
-        ent[n:] = bv
-        agg = ent[:n]
-        agg[leaf] = np.bitwise_or.reduceat(bv[self.permutation], first_member[leaf])
+        agg = np.empty((n, bv.shape[1]), dtype=bv.dtype)
+        agg[leaf] = np.bitwise_or.reduceat(bv[self.permutation], first_member)
         # bottom-up: depth d + 1, in [hi, end), holds the children of the
         # internal nodes of depth d, in [lo, hi), in order
+        first_child = np.cumsum(cc) - cc + 1
+        starts = _level_starts(cc)
         for d in range(len(starts) - 3, -1, -1):
             lo, hi, end = starts[d : d + 3]
             inner = lo + np.flatnonzero(cc[lo:hi])
             agg[inner] = np.bitwise_or.reduceat(agg[hi:end], first_child[inner] - hi)
-        self.entry_bv_neg = np.ascontiguousarray(~ent.T)
+        sets = _node_sets(agg, leaf)
+        self.node_bits, self.leaf_mask = sets[:-1], sets[-1]
+        self.bv_neg = np.ascontiguousarray(~bv.T)
         self.nbv_neg = np.ascontiguousarray(~self.aux.nbv.T)
 
     @property
@@ -204,6 +207,26 @@ def _level_starts(child_counts: np.ndarray) -> list[int]:
             break
         starts.append(starts[-1] + spawned)
     return starts
+
+
+def _node_sets(agg: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Packed node sets: one per aggregate bit position, then all nodes, then leaves.
+
+    ``agg`` holds one aggregate row per node. Bit ``k`` of byte ``j`` of a
+    little-endian row is bit position ``8 * j + k``, so the aggregates'
+    bytes, transposed to one row per byte, shift out eight 0/1 rows each.
+    The rows are padded to whole ``uint64`` words of nodes and packed, eight
+    nodes to a byte, lowest node in the lowest bit.
+    """
+    n = len(agg)
+    flags = np.zeros((64 * agg.shape[1] + 2, -(-n // 64) * 64), dtype=np.uint8)
+    by_byte = np.ascontiguousarray(agg.astype("<u8").view(np.uint8).T)
+    bits = flags[:-2].reshape(len(by_byte), 8, -1)[..., :n]
+    np.right_shift(by_byte[:, None], np.arange(8, dtype=np.uint8)[:, None], out=bits)
+    bits &= 1
+    flags[-2, :n] = 1
+    flags[-1, :n] = leaf
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
 
 
 def _padded(first: np.ndarray, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -397,15 +420,31 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
+def check_keyword_names(names: Sequence[str]) -> None:
+    """Refuse a keyword name longer than :data:`MAX_KEYWORD_BYTES` UTF-8 bytes.
+
+    The index file cannot hold one, so ``s3and index`` calls this before it
+    builds anything.
+    """
+    for name in names:
+        size = len(name.encode("utf-8"))
+        if size > MAX_KEYWORD_BYTES:
+            raise ValueError(
+                f"a keyword name has {size} UTF-8 bytes; an index file "
+                f"holds at most {MAX_KEYWORD_BYTES}"
+            )
+
+
 def save_index(index: SubgraphIndex, path: str | Path) -> None:
     """Write the index to a little-endian binary file.
 
     The file holds the configs, the keyword table, the graph fingerprint,
     the per-vertex signatures and the tree shape, sealed by a digest; what
     the shape and the signatures determine is derived again on load. A
-    keyword name longer than :data:`MAX_KEYWORD_BYTES` UTF-8 bytes raises
-    ``ValueError`` before anything is written.
+    keyword name too long for the file (see :func:`check_keyword_names`)
+    raises ``ValueError`` before anything is written.
     """
+    check_keyword_names(index.keyword_names)
     sig = index.sig_config
     idx = index.index_config
     chunks = [
@@ -428,11 +467,6 @@ def save_index(index: SubgraphIndex, path: str | Path) -> None:
     ]
     for name in index.keyword_names:
         data = name.encode("utf-8")
-        if len(data) > MAX_KEYWORD_BYTES:
-            raise ValueError(
-                f"a keyword name has {len(data)} UTF-8 bytes; an index file "
-                f"holds at most {MAX_KEYWORD_BYTES}"
-            )
         chunks += [struct.pack("<H", len(data)), data]
     chunks.append(index.graph_fingerprint)
     chunks += [index.aux.bv.astype("<u8").tobytes(), index.aux.nbv.astype("<u8").tobytes()]
@@ -466,7 +500,7 @@ def load_index(path: str | Path) -> SubgraphIndex:
     The checks run in file order before anything is used: the magic, then
     the version, then the trailing digest over every byte before it, and
     only then the counts, each against the bytes left. The tree shape is
-    checked before the entry table and arrays are derived from it: the
+    checked before the node and leaf tables are derived from it: the
     child counts must form one tree with the header's node count, every
     leaf must have a member, and the leaves must partition the vertex ids.
     """

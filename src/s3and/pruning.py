@@ -18,18 +18,21 @@ contributes at least one to the difference. A tree node's aggregates cover
 every member's, so the same functions over a node's aggregates give a
 bound of at most every member's bound.
 
-Each predicate runs over many (entry, query vertex) pairs at once, given as
-two index arrays: ``ids`` into the columns of a word-major array and ``qv``
-into the query side. The traversal passes the index's arrays: for the
-keyword check ``SubgraphIndex.entry_bv_neg``, where tree node ``u`` is
-entry ``u`` and data vertex ``v`` is entry ``node_count() + v``, so one
-call can test nodes and vertices alike; for the tight bound
-``SubgraphIndex.nbv_neg``, whose columns are the data vertices. The
-traversal runs the keyword check on nodes and vertices, and both bounds on
-vertex hits only: at nodes the tight bound pruned too little to pay for
-itself. The degree shortfall also takes vertex ids, into the degree
-vector. The bound functions return the bound itself; the caller compares
-it with sigma.
+The vertex predicates run over many (vertex, query vertex) pairs at once,
+given as two index arrays: ``ids`` into the columns of a word-major array
+and ``qv`` into the query side. The traversal passes the index's arrays,
+``SubgraphIndex.bv_neg`` for the keyword check and
+``SubgraphIndex.nbv_neg`` for the tight bound, whose columns are the data
+vertices; the degree shortfall takes vertex ids into the degree vector.
+The bound functions return the bound itself; the caller compares it with
+sigma.
+
+Tree nodes get the keyword check only, and all of them at once:
+:func:`nodes_containing` reads the index's bit-sliced node table, one
+packed set of nodes per signature bit position, and ANDs the rows of a
+query vertex's bit positions into the set of nodes whose aggregate holds
+all of them. Both bounds run on vertex hits only: at nodes the tight bound
+pruned too little to pay for itself.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import QueryGraph
-from .signatures import SignatureConfig, build_bit_vectors
+from .signatures import SignatureConfig, _keyword_table, build_bit_vectors
 
 __all__ = [
     "QuerySideData",
     "build_query_side",
+    "nodes_containing",
     "keyword_contained",
     "uncovered_neighbors",
     "degree_shortfall",
@@ -58,6 +62,12 @@ class QuerySideData:
     nq)``. ``neighbor_bits[s, :, j]`` is the signature of query vertex
     ``j``'s ``s``-th neighbor, zero-padded to the largest degree (and at
     least one slot); a padding slot has no bits, so it is always covered.
+
+    ``bit_rows`` lists, vertex by vertex, -1, the last row of a bit-sliced
+    node table, which holds every node, and then the bit position of each
+    of the vertex's keywords; vertex ``j``'s run starts at its -1,
+    ``row_starts[j]``. Every run holds the all-ones row, so a vertex
+    without keywords needs no special case.
     """
 
     cfg: SignatureConfig
@@ -65,6 +75,8 @@ class QuerySideData:
     bits: np.ndarray  # (groups * words, nq)
     neighbor_bits: np.ndarray  # (max(1, max degree), groups * words, nq)
     degrees: np.ndarray  # (nq,)
+    bit_rows: np.ndarray  # (total keywords + nq,)
+    row_starts: np.ndarray  # (nq,)
 
     @property
     def vertex_count(self) -> int:
@@ -80,13 +92,31 @@ def build_query_side(q: QueryGraph, cfg: SignatureConfig) -> QuerySideData:
     degrees = [len(a) for a in q.adjacency]
     width = max(1, max(degrees, default=0))
     slots = np.array([[*a, *[nq] * (width - len(a))] for a in q.adjacency]).T
+    bit = _keyword_table(cfg, q.keyword_domain_size)[2].tolist()
+    rows = np.array([b for ks in q.keywords for b in (-1, *map(bit.__getitem__, ks))])
     return QuerySideData(
         cfg=cfg,
         query=q,
         bits=np.ascontiguousarray(words[:, :nq]),
         neighbor_bits=np.ascontiguousarray(words[:, slots].transpose(1, 0, 2)),
         degrees=np.array(degrees, dtype=np.int64),
+        bit_rows=rows,
+        row_starts=np.flatnonzero(rows < 0),
     )
+
+
+def nodes_containing(node_bits: np.ndarray, qside: QuerySideData) -> np.ndarray:
+    """Per query vertex, the packed set of tree nodes whose aggregate holds its bits.
+
+    ``node_bits`` is the index's bit-sliced node table,
+    ``SubgraphIndex.node_bits``: row ``p`` is the set of nodes whose
+    aggregate signature has bit ``p``, and the last row every node. A
+    query vertex's set is the AND of the rows in its run of
+    ``qside.bit_rows``, ``(nq, node words)``. A node outside it lacks one of
+    the vertex's bits, and so does every member below it.
+    """
+    rows = node_bits.take(qside.bit_rows, axis=0)
+    return np.bitwise_and.reduceat(rows, qside.row_starts, axis=0)
 
 
 def keyword_contained(

@@ -96,21 +96,27 @@ def _fnv1a64(ids: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _keyword_table(cfg: SignatureConfig, domain: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per keyword id below ``domain``: its flat word index and ``uint64`` mask.
+def _keyword_table(
+    cfg: SignatureConfig, domain: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per keyword id below ``domain``: its flat word index, mask and bit position.
 
     Keyword ``k`` sets bit ``p``, the FNV-1a hash of ``k XOR seed`` mod
     ``bits_per_group``, in group ``k % group_count``: that is word
     ``(k % group_count) * words_per_group + p // 64`` of a signature row,
-    under mask ``1 << (p % 64)``. Read-only, since every caller shares it.
+    under the ``uint64`` mask ``1 << (p % 64)``, and bit ``64 * word + p %
+    64`` of the row read as one string of bits. Read-only, since every
+    caller shares it.
     """
     ids = np.arange(domain, dtype=np.uint64)
     pos = _fnv1a64(ids ^ np.uint64(cfg.seed & _U64)) % np.uint64(cfg.bits_per_group)
     word = (ids % np.uint64(cfg.group_count)).astype(np.int64) * cfg.words_per_group
     word += (pos // np.uint64(64)).astype(np.int64)
-    mask = np.uint64(1) << (pos % np.uint64(64))
-    word.flags.writeable = mask.flags.writeable = False
-    return word, mask
+    shift = pos % np.uint64(64)
+    mask = np.uint64(1) << shift
+    bit = 64 * word + shift.astype(np.int64)
+    word.flags.writeable = mask.flags.writeable = bit.flags.writeable = False
+    return word, mask, bit
 
 
 @functools.lru_cache(maxsize=8)
@@ -122,8 +128,7 @@ def exact_keywords(cfg: SignatureConfig, domain: int) -> frozenset[int]:
     keyword, so for these ids bit containment is exact containment.
     Memoized per config and domain size.
     """
-    word, mask = _keyword_table(cfg, domain)
-    bits = list(zip(word.tolist(), mask.tolist()))
+    bits = _keyword_table(cfg, domain)[2].tolist()
     owners = collections.Counter(bits)
     return frozenset(k for k, bit in enumerate(bits) if owners[bit] == 1)
 
@@ -140,7 +145,7 @@ def build_bit_vectors(
     silently set the bit of ``k + domain``, so the function is kept out of
     the package's exports and takes only validated ids.
     """
-    word, mask = _keyword_table(cfg, domain)
+    word, mask, _ = _keyword_table(cfg, domain)
     sizes = [len(ws) for ws in keyword_sets]
     ids = np.fromiter(itertools.chain.from_iterable(keyword_sets), np.int64, sum(sizes))
     bv = np.zeros((len(sizes), cfg.group_count * cfg.words_per_group), dtype=np.uint64)

@@ -12,6 +12,7 @@ teams; those corners pin the pruning-bound tests.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -33,6 +34,7 @@ from s3and import (
     generate_workload,
     is_answer,
     keyword_contained,
+    nodes_containing,
     parse_graph,
     parse_query,
     uncovered_neighbors,
@@ -305,22 +307,50 @@ def tree_walk(index) -> tuple[list[list[int]], list[list[int]]]:
     return children, members
 
 
-def vertex_entry(index, v: int) -> int:
-    """The entry id of data vertex ``v``: entries number the nodes first."""
-    return index.node_count() + v
+def node_aggregates(index, rows: np.ndarray) -> np.ndarray:
+    """Per node, the OR of its descendant members' ``rows``, ``(nodes, words)``.
+
+    ORed from the members read off the shape, not from anything the index
+    derives.
+    """
+    members = tree_walk(index)[1]
+    return np.array([np.bitwise_or.reduce(rows[m], axis=0) for m in members])
 
 
 def node_nbv_neg(index) -> np.ndarray:
     """Complemented node aggregates of the neighborhood signatures, word-major.
 
-    Column ``u`` is the complement of the OR of node ``u``'s members'
-    neighborhood signatures, ORed from the members here, since the index
-    keeps the neighborhood signatures of vertices only. The node-bound
-    soundness checks read it by node id.
+    The index keeps the neighborhood signatures of vertices only; the
+    node-bound soundness checks read this by node id.
     """
-    members = tree_walk(index)[1]
-    agg = np.array([np.bitwise_or.reduce(index.aux.nbv[m], axis=0) for m in members])
-    return complemented(agg)
+    return complemented(node_aggregates(index, index.aux.nbv))
+
+
+def bit_slices(agg: np.ndarray) -> np.ndarray:
+    """Signature rows ``(n, words)`` transposed to one 0/1 row per bit position.
+
+    Row ``64 * w + b`` flags the rows that have bit ``b`` of word ``w``.
+    """
+    pos = np.arange(64 * agg.shape[1])
+    shifted = agg[:, pos // 64] >> (pos % 64).astype(np.uint64)
+    return (shifted & np.uint64(1)).T.astype(np.uint8)
+
+
+def node_sets(packed: np.ndarray, width: int) -> np.ndarray:
+    """The index's packed node sets as 0/1 flags, ``width`` per set."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=width, bitorder="little")
+
+
+def node_contained(index, qside: QuerySideData) -> np.ndarray:
+    """0/1 flags ``(nq, nodes)``: the nodes the traversal keeps for each query vertex."""
+    return node_sets(nodes_containing(index.node_bits, qside), index.node_count())
+
+
+def derived_arrays(index) -> dict[str, np.ndarray]:
+    """The fields an index derives on construction, by name."""
+    return {
+        f.name: getattr(index, f.name) for f in dataclasses.fields(index) if not f.init
+    }
 
 
 # --- the traversal's predicates, one pair at a time --------------------------
@@ -330,19 +360,19 @@ def complemented(rows: np.ndarray) -> np.ndarray:
     """Signature rows ``(n, groups * words)`` as the predicates read them.
 
     That is complemented and word-major, ``(groups * words, n)``, the layout
-    of ``SubgraphIndex.entry_bv_neg`` and ``nbv_neg``.
+    of ``SubgraphIndex.bv_neg`` and ``nbv_neg``.
     """
     return np.ascontiguousarray(~rows.T)
 
 
-def pair_contained(neg: np.ndarray, entry: int, qside: QuerySideData, qj: int) -> bool:
-    """:func:`keyword_contained` for the one pair (``entry``, ``qj``)."""
-    return bool(keyword_contained(neg, [entry], qside.bits, [qj])[0])
+def pair_contained(neg: np.ndarray, col: int, qside: QuerySideData, qj: int) -> bool:
+    """:func:`keyword_contained` for the one pair (column ``col``, ``qj``)."""
+    return bool(keyword_contained(neg, [col], qside.bits, [qj])[0])
 
 
-def pair_uncovered(nbv_neg: np.ndarray, entry: int, qside: QuerySideData, qj: int) -> int:
-    """:func:`uncovered_neighbors` for the one pair (``entry``, ``qj``)."""
-    return int(uncovered_neighbors(nbv_neg, [entry], qside.neighbor_bits, [qj])[0])
+def pair_uncovered(nbv_neg: np.ndarray, col: int, qside: QuerySideData, qj: int) -> int:
+    """:func:`uncovered_neighbors` for the one pair (column ``col``, ``qj``)."""
+    return int(uncovered_neighbors(nbv_neg, [col], qside.neighbor_bits, [qj])[0])
 
 
 def pair_shortfall(degrees: np.ndarray, v: int, qside: QuerySideData, qj: int) -> int:
@@ -373,32 +403,34 @@ def audit_structure(index, g) -> None:
     assert sorted(members[0]) == list(range(g.vertex_count))
     assert index.depth() <= depth_bound(cfg, g.vertex_count)
     n = index.node_count()
-    assert index.entry_table.shape[0] == n
-    assert index.entry_bv_neg.shape[1] == n + g.vertex_count
-    # the vertex entries follow the nodes, in vertex order
-    assert np.array_equal(index.entry_bv_neg[:, n:], complemented(aux.bv))
+    assert np.array_equal(index.bv_neg, complemented(aux.bv))
     assert np.array_equal(index.nbv_neg, complemented(aux.nbv))
-    agg_bv = ~index.entry_bv_neg[:, :n].T
-    for u, (kids, idx) in enumerate(zip(children, members)):
-        assert np.array_equal(agg_bv[u], np.bitwise_or.reduce(aux.bv[idx], axis=0))
-        row = index.entry_table[u]
+    # one set per bit position, then every node; no bit past the last node
+    sets = np.unpackbits(index.node_bits.view(np.uint8), axis=-1, bitorder="little")
+    assert sets.shape[0] == 64 * aux.bv.shape[1] + 1
+    assert not sets[:, n:].any()
+    assert np.array_equal(sets[:-1, :n], bit_slices(node_aggregates(index, aux.bv)))
+    assert sets[-1, :n].all()
+    leaves = [u for u, kids in enumerate(children) if not kids]
+    assert node_sets(index.leaf_mask, n).tolist() == [int(not kids) for kids in children]
+    assert index.leaf_nodes.tolist() == leaves
+    assert index.leaf_members.shape[0] == len(leaves)
+    for u, row in zip(leaves, index.leaf_members):
         entries = row[row >= 0].tolist()
-        # a row is its entries, then only padding
+        # a row is its members, then only padding
         assert (row[len(entries) :] < 0).all()
-        if kids:
-            assert entries == kids
-            cap = split_capacity(cfg, len(idx))
-            for child in kids:
-                assert len(members[child]) <= cap
-        else:
-            assert entries == [vertex_entry(index, v) for v in idx]
-            assert len(idx) <= cfg.fanout
+        assert entries == members[u]
+        assert len(entries) <= cfg.fanout
+    for kids, idx in zip(children, members):
+        cap = split_capacity(cfg, len(idx))
+        for child in kids:
+            assert len(members[child]) <= cap
 
 
 # --- reference traversal ----------------------------------------------------
 #
 # A per-node walk, one (node, live query vertices) entry at a time, kept as
-# the oracle that the engine's level-synchronous traversal must reproduce:
+# the oracle that the engine's one-pass, bit-sliced traversal must reproduce:
 # the same candidates and the same number of visited nodes. It ORs each
 # node's keyword aggregate from the node's descendant members itself. A
 # node gets the keyword check only; a leaf's members get every check.

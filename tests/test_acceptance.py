@@ -56,13 +56,13 @@ from tests.conftest import (
     alternative_plan,
     audit_structure,
     mapping_set,
+    node_contained,
     node_nbv_neg,
     pair_contained,
     pair_shortfall,
     pair_uncovered,
     reference_candidates,
     tree_walk,
-    vertex_entry,
 )
 from tests.test_index import structurally_equal
 
@@ -278,11 +278,12 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
         side = build_query_side(q, SIG)
         node_members = [set(members) for members in tree_walk(index)[1]]
         nodes_neg = node_nbv_neg(index)
+        # the nodes the traversal keeps for each query vertex
+        kept = node_contained(index, side)
         for aggregate in (MAX, SUM):
             for ans in pool_answers[i, aggregate]:
                 for qj, vi in enumerate(ans.mapping):
-                    entry = vertex_entry(index, vi)
-                    if not pair_contained(index.entry_bv_neg, entry, side, qj):
+                    if not pair_contained(index.bv_neg, vi, side, qj):
                         fired += 1
                     deg_lb = pair_shortfall(g.degree_vector, vi, side, qj)
                     tight_lb = pair_uncovered(index.nbv_neg, vi, side, qj)
@@ -291,7 +292,7 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
                     for node, members in enumerate(node_members):
                         if vi not in members:
                             continue
-                        if not pair_contained(index.entry_bv_neg, node, side, qj):
+                        if not kept[qj, node]:
                             fired += 1
                         if pair_uncovered(nodes_neg, node, side, qj) > sigma:
                             fired += 1

@@ -18,6 +18,7 @@ from s3and import (
     load_index,
     load_query,
 )
+from s3and import index as index_module
 from s3and.cli import main
 from tests.conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
 from tests.test_index import huge_node_count, resealed_node_count, zeroed_signatures
@@ -180,6 +181,38 @@ def test_keyword_name_past_the_index_limit_is_a_one_line_error(tmp_path, capsys,
         capsys, ["index", "--graph", graph, "--out", idx], "at most 65535"
     )
     assert not idx.exists()
+
+
+def test_keyword_name_past_the_index_limit_is_refused_before_the_build(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    split = index_module._cm_partitioning
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(index_module, "_cm_partitioning", spy)
+    # a 40-vertex path: more vertices than the default fanout, so a build
+    # splits the root
+    edges = "".join(f"e {v} {v + 1}\n" for v in range(39))
+    graph = tmp_path / "path.graph"
+    idx = tmp_path / "path.idx"
+    for name, refused in (("k" * 65_535, False), ("k" * 65_536, True)):
+        vertices = f"v 0 {name}\n" + "".join(f"v {v} b\n" for v in range(1, 40))
+        graph.write_text(f"t 40 39\n{vertices}{edges}", encoding="utf-8")
+        calls.clear()
+        if refused:
+            assert_one_line_error(
+                capsys, ["index", "--graph", graph, "--out", tmp_path / "x.idx"],
+                "at most 65535",
+            )
+            assert calls == []
+            assert not (tmp_path / "x.idx").exists()
+        else:
+            run(capsys, "index", "--graph", graph, "--out", idx)
+            assert calls[0] == 40
 
 
 def test_bench_writes_csv_and_json(tmp_path, capsys):

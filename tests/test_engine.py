@@ -35,6 +35,7 @@ from tests.conftest import (
     alternative_plan,
     edge_list,
     mapping_set,
+    node_contained,
     pair_contained,
     pair_shortfall,
     pair_uncovered,
@@ -43,7 +44,6 @@ from tests.conftest import (
     reference_candidates,
     reference_query_plan,
     reference_support_filter,
-    vertex_entry,
 )
 
 MAX = AggregateKind.MAX
@@ -629,8 +629,7 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     q = make_graph(4, [(0, 1), (0, 2), (0, 3)], [[0], [1], [1], [1]], names)
     index = build_index(g, index_config=IndexConfig(fanout=2))
     qside = build_query_side(q, index.sig_config)
-    entry = vertex_entry(index, 0)
-    assert pair_contained(index.entry_bv_neg, entry, qside, 0)
+    assert pair_contained(index.bv_neg, 0, qside, 0)
     assert pair_uncovered(index.nbv_neg, 0, qside, 0) == 0
     assert pair_shortfall(g.degree_vector, 0, qside, 0) == 2
     assert collect(index, g, q, 1, ablation=Ablation.KS)[0][0].tolist() == [0, 2]
@@ -646,8 +645,7 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
     q = make_graph(3, [(0, 1), (0, 2)], [[0], [1], [2]], names)
     index = build_index(g, index_config=IndexConfig(fanout=2))
     qside = build_query_side(q, index.sig_config)
-    entry = vertex_entry(index, 0)
-    assert pair_contained(index.entry_bv_neg, entry, qside, 0)
+    assert pair_contained(index.bv_neg, 0, qside, 0)
     assert pair_shortfall(g.degree_vector, 0, qside, 0) == 0
     assert pair_uncovered(index.nbv_neg, 0, qside, 0) == 1
     for ab in (Ablation.KS, Ablation.KS_LB):
@@ -658,28 +656,84 @@ def test_traversal_matches_reference_walk(team_graph, team_query, team_index):
         g, q = random_instance(rng, max_vertices=150)
         cases.append((g, q, build_index(g, index_config=random_index_config(rng))))
     for g, q, index in cases:
-        qside = build_query_side(q, index.sig_config)
-        for ab in Ablation:
-            for sigma in range(4):
-                spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
-                raw, _ = collect(index, g, q, sigma, ablation=ab)
-                res = run_query(index, g, spec, ablation=ab)
-                ref_raw, visited = reference_candidates(
-                    index, qside, sigma, g.degree_vector, ab
-                )
-                assert res.stats.nodes_visited == visited
-                assert len(raw) == len(ref_raw)
-                for a, b in zip(raw, ref_raw):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-                expect = exact_keyword_filter(g, q, ref_raw)
-                for a, b in zip(res.candidates, expect):
-                    assert np.array_equal(a, b)
-                if all(len(c) for c in expect):
-                    plan = make_query_plan(q, expect)
-                    answers = refine(g, q, plan, expect, MAX, sigma)
-                else:
-                    answers = []
-                assert mapping_set(res.answers) == mapping_set(answers)
+        assert_matches_reference_walk(g, q, index)
+
+
+def assert_matches_reference_walk(g, q, index) -> None:
+    """Candidates, visited nodes and answers equal the per-node reference walk's.
+
+    At every ablation level and sigma 0-3, both from
+    :func:`collect_candidates` and from :func:`run_query`.
+    """
+    qside = build_query_side(q, index.sig_config)
+    for ab in Ablation:
+        for sigma in range(4):
+            spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
+            raw, visited = collect(index, g, q, sigma, ablation=ab)
+            res = run_query(index, g, spec, ablation=ab)
+            ref_raw, ref_visited = reference_candidates(
+                index, qside, sigma, g.degree_vector, ab
+            )
+            assert visited == res.stats.nodes_visited == ref_visited
+            assert len(raw) == len(ref_raw)
+            for a, b in zip(raw, ref_raw):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            expect = exact_keyword_filter(g, q, ref_raw)
+            for a, b in zip(res.candidates, expect):
+                assert np.array_equal(a, b)
+            if all(len(c) for c in expect):
+                plan = make_query_plan(q, expect)
+                answers = refine(g, q, plan, expect, MAX, sigma)
+            else:
+                answers = []
+            assert mapping_set(res.answers) == mapping_set(answers)
+
+
+def test_traversal_matches_reference_walk_on_a_chain_tree():
+    # the depth-58 chain of test_build_identical_signatures_at_full_capacity:
+    # one keyword, so every node holds every query vertex's bits
+    g = generate_graph(
+        SyntheticSpec(vertex_count=60, keyword_domain_size=1, keywords_per_vertex=1, seed=3)
+    )
+    index = build_index(g, index_config=IndexConfig(fanout=2, gamma=1.0))
+    assert index.depth() == 58
+    for q in generate_workload(g, WorkloadSpec(query_count=3, query_size=3, seed=3)):
+        assert_matches_reference_walk(g, q, index)
+        assert collect(index, g, q, 1)[1] == index.node_count()
+
+
+def test_traversal_matches_reference_walk_with_a_keywordless_query_vertex():
+    # a query vertex without keywords is contained in every node
+    g = generate_graph(SyntheticSpec(vertex_count=150, keyword_domain_size=6, seed=4))
+    index = build_index(g, index_config=IndexConfig(fanout=4))
+    assert index.depth() >= 2
+    q = make_graph(3, [(0, 1), (1, 2)], [[0], [], [1, 2]], g.keyword_names)
+    assert_matches_reference_walk(g, q, index)
+    assert collect(index, g, q, 1)[1] == index.node_count()
+
+
+def test_traversal_matches_reference_walk_with_an_unknown_query_token(team_graph):
+    index = build_index(team_graph, index_config=IndexConfig(fanout=2))
+    assert index.depth() >= 2
+    q = parse_query("t 3 2\nv 0 ml,quantum\nv 1 backend\nv 2 quantum\ne 0 1\ne 1 2\n", team_graph)
+    assert q.keywords[2] == (team_graph.keyword_domain_size,)
+    assert_matches_reference_walk(team_graph, q, index)
+
+
+def test_traversal_matches_reference_walk_on_a_single_leaf(team_graph, team_index):
+    # the root is the one leaf and lacks quantum's bit: the walk still
+    # visits it, and a query vertex with quantum gets no candidates
+    assert team_index.node_count() == 1
+    for text in (
+        "t 2 1\nv 0 quantum\nv 1 quantum\ne 0 1\n",
+        "t 2 1\nv 0 ml\nv 1 backend,quantum\ne 0 1\n",
+    ):
+        q = parse_query(text, team_graph)
+        qside = build_query_side(q, team_index.sig_config)
+        assert not node_contained(team_index, qside)[-1, 0]
+        assert_matches_reference_walk(team_graph, q, team_index)
+        raw, visited = collect(team_index, team_graph, q, 2)
+        assert visited == 1 and len(raw[-1]) == 0
 
 
 def test_candidates_do_not_depend_on_the_tree():

@@ -28,19 +28,22 @@ from s3and.index import (
     _unpack_bits,
 )
 from s3and.workbench import SyntheticSpec, generate_graph
-from tests.conftest import audit_structure, partition_cost, reference_assign_capacitated
+from tests.conftest import (
+    audit_structure,
+    bit_slices,
+    derived_arrays,
+    node_aggregates,
+    node_sets,
+    partition_cost,
+    reference_assign_capacitated,
+)
 
 CFG = SignatureConfig()
 
 
-_SHAPE_AND_DERIVED = (
-    "child_counts",
-    "leaf_sizes",
-    "permutation",
-    "entry_table",
-    "entry_bv_neg",
-    "nbv_neg",
-)
+def _shape_and_derived(index) -> dict[str, np.ndarray]:
+    shape = ("child_counts", "leaf_sizes", "permutation")
+    return {name: getattr(index, name) for name in shape} | derived_arrays(index)
 
 
 def structurally_equal(a, b) -> bool:
@@ -58,10 +61,11 @@ def structurally_equal(a, b) -> bool:
         and np.array_equal(a.aux.nbv, b.aux.nbv)
     ):
         return False
-    return all(
-        getattr(a, name).dtype == getattr(b, name).dtype
-        and np.array_equal(getattr(a, name), getattr(b, name))
-        for name in _SHAPE_AND_DERIVED
+    arrays_a, arrays_b = _shape_and_derived(a), _shape_and_derived(b)
+    return arrays_a.keys() == arrays_b.keys() and all(
+        arrays_a[name].dtype == arrays_b[name].dtype
+        and np.array_equal(arrays_a[name], arrays_b[name])
+        for name in arrays_a
     )
 
 
@@ -423,6 +427,24 @@ def test_save_load_round_trip(saved_index):
     index, path = saved_index
     loaded = load_index(path)
     assert structurally_equal(index, loaded)
+
+
+def test_bit_sliced_node_table_matches_the_aggregates(tmp_path):
+    # the table a build derives, the table a load derives, and the node
+    # aggregates ORed from the members here, one row per bit position, are
+    # one table; its last row holds every node
+    g = generate_graph(SyntheticSpec(vertex_count=300, keyword_domain_size=20, seed=8))
+    built = build_index(g, index_config=IndexConfig(fanout=4))
+    path = tmp_path / "sliced.idx"
+    save_index(built, path)
+    loaded = load_index(path)
+    n = built.node_count()
+    assert built.depth() >= 2 and n % 64
+    expect = bit_slices(node_aggregates(built, built.aux.bv))
+    for index in (built, loaded):
+        sets = node_sets(index.node_bits, n)
+        assert np.array_equal(sets[:-1], expect)
+        assert sets[-1].all()
 
 
 def test_index_file_bytes_are_pinned(tmp_path):

@@ -2,8 +2,8 @@
 
 Soundness is the only hard requirement: a predicate may never discard a pair
 that belongs to some answer. The tests call the batch predicates the
-traversal runs, one (entry, query vertex) pair at a time, over the index's
-own complemented arrays. Several tests enumerate every valid mapping on
+traversal runs, one (vertex or node, query vertex) pair at a time, over the
+index's own complemented arrays. Several tests enumerate every valid mapping on
 small graphs and check each bound sits at or below the true difference.
 """
 
@@ -34,7 +34,6 @@ from tests.conftest import (
     pair_shortfall,
     pair_uncovered,
     tree_walk,
-    vertex_entry,
 )
 
 CFG = SignatureConfig()
@@ -80,6 +79,26 @@ def test_query_side_layout(team_side, team_query):
         assert not slots[len(nbrs) :].any()
 
 
+def test_query_side_bit_rows():
+    # each vertex's run: -1, a node table's last row, all ones, then one
+    # bit position per keyword, each set in the vertex's signature
+    q = make_graph(3, [(0, 1), (1, 2)], [[0, 3], [], [2]], ["a", "b", "c", "d"])
+    side = build_query_side(q, CFG)
+    words = CFG.group_count * CFG.words_per_group
+    assert side.row_starts.tolist() == [0, 3, 4]
+    ends = [*side.row_starts.tolist()[1:], len(side.bit_rows)]
+    for qj, (lo, hi) in enumerate(zip(side.row_starts.tolist(), ends)):
+        run = side.bit_rows[lo:hi].tolist()
+        assert len(run) == len(q.keywords[qj]) + 1 and run[0] == -1
+        set_bits = {
+            64 * w + b
+            for w in range(words)
+            for b in range(64)
+            if int(side.bits[w, qj]) >> b & 1
+        }
+        assert set(run[1:]) == set_bits
+
+
 def test_uncovered_neighbors_fixture_golds(team_side, team_index):
     nbv_neg = team_index.nbv_neg
     # v0 ("ml", neighbors backend/frontend/design) covers q0's backend
@@ -99,14 +118,12 @@ def test_keyword_contained_fails_on_disjoint_labels(team_side, team_index):
     # sales (v6) and legal (v9) share no keyword with any query vertex
     for vi in (6, 9):
         for qj in range(5):
-            entry = vertex_entry(team_index, vi)
-            assert not pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
+            assert not pair_contained(team_index.bv_neg, vi, team_side, qj)
 
 
 def test_keyword_contained_holds_for_true_matches(team_side, team_index):
     for qj, vi in enumerate((0, 1, 2, 3, 4)):
-        entry = vertex_entry(team_index, vi)
-        assert pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
+        assert pair_contained(team_index.bv_neg, vi, team_side, qj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,8 +140,7 @@ def test_empty_query_keywords_never_pruned(team_index):
     side = build_query_side(q, CFG)
     assert not side.bits[:, 0].any()
     for vi in range(12):
-        entry = vertex_entry(team_index, vi)
-        assert pair_contained(team_index.entry_bv_neg, entry, side, 0)
+        assert pair_contained(team_index.bv_neg, vi, side, 0)
 
 
 def _small_instances():
@@ -185,8 +201,7 @@ def test_node_prune_implies_every_member_pruned(team_side, team_aux, team_index)
         for qj in range(5):
             if not pair_contained(agg_neg, 0, team_side, qj):
                 for vi in members:
-                    entry = vertex_entry(team_index, int(vi))
-                    assert not pair_contained(team_index.entry_bv_neg, entry, team_side, qj)
+                    assert not pair_contained(team_index.bv_neg, int(vi), team_side, qj)
 
 
 def test_node_uncovered_bounds_member_minimum(team_side, team_aux, team_index):
