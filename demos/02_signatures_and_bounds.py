@@ -20,6 +20,7 @@ import numpy as np
 
 from s3and import (
     SignatureConfig,
+    build_aux,
     build_index,
     build_query_side,
     degree_shortfall,
@@ -75,8 +76,8 @@ g = parse_graph(GRAPH)
 q = parse_query(QUERY, g)
 
 cfg = SignatureConfig()  # 5 groups of 64 bits, seed 0
-index = build_index(g, sig_config=cfg)
-aux = index.aux
+aux = build_aux(g, cfg)
+index = build_index(g, aux=aux)
 side = build_query_side(q, cfg)
 vertices = np.arange(g.vertex_count)
 

@@ -23,15 +23,9 @@ import numpy as np
 
 from .engine import Ablation, QueryResult, run_query
 from .graph import load_graph, load_query, save_graph
-from .index import (
-    IndexConfig,
-    build_index,
-    check_keyword_names,
-    load_index,
-    save_index,
-)
+from .index import IndexConfig, build_index, load_index, save_index
 from .semantics import AggregateKind, QuerySpec, format_answers, oracle_search
-from .signatures import SignatureConfig, exact_keywords
+from .signatures import SignatureConfig, build_aux, exact_keywords
 from .workbench import (
     BenchConfig,
     SyntheticSpec,
@@ -191,9 +185,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     g = load_graph(args.graph)
-    check_keyword_names(g.keyword_names)
     t0 = time.perf_counter()
-    index = build_index(g, sig, idx_cfg)
+    index = build_index(g, idx_cfg, build_aux(g, sig))
     built_ms = (time.perf_counter() - t0) * 1000.0
     save_index(index, args.out)
     print(

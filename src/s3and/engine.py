@@ -527,8 +527,9 @@ def run_query(
     """Full pipeline: traverse, recheck keywords, filter, plan, refine, measure.
 
     The index must have been built over ``g``: a graph with another vertex
-    count, keyword table or fingerprint raises ``ValueError``. The result's
-    ``candidates`` and the candidate stats are the rechecked index
+    count or fingerprint raises ``ValueError``. The fingerprint digests the
+    keyword names too, so it also refuses a graph whose names differ. The
+    result's ``candidates`` and the candidate stats are the rechecked index
     candidates; only the query vertices with a keyword outside
     :func:`~s3and.signatures.exact_keywords` are rechecked, and what the
     recheck drops is counted in ``stats.hash_false_positives``. What the
@@ -539,8 +540,6 @@ def run_query(
         raise ValueError(
             f"index covers {index.vertex_count} vertices, graph has {g.vertex_count}"
         )
-    if tuple(g.keyword_names) != tuple(index.keyword_names):
-        raise ValueError("index was built over a different keyword table")
     if g.fingerprint != index.graph_fingerprint:
         raise ValueError("index was built for a different graph")
     degrees = g.degree_vector

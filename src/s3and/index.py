@@ -49,9 +49,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -69,9 +68,7 @@ __all__ = [
 ]
 
 INDEX_MAGIC = b"S3ANDIDX"
-INDEX_VERSION = 3
-# the file stores each keyword name's UTF-8 length as a uint16
-MAX_KEYWORD_BYTES = 0xFFFF
+INDEX_VERSION = 4
 
 
 class IndexFormatError(ValueError):
@@ -118,9 +115,13 @@ class SubgraphIndex:
     each leaf in turn. ``graph_fingerprint`` is the indexed graph's
     :attr:`DataGraph.fingerprint`.
 
-    The remaining fields are derived from the shape and ``aux`` on
-    construction, and are not saved to the index file:
+    ``aux`` is read once, on construction, and not kept: the remaining
+    fields are derived from it and the shape, so the index holds each
+    signature once. Of these, only ``sig_config``, ``bv_neg`` and
+    ``nbv_neg`` reach the index file, which stores the signatures
+    uncomplemented:
 
+    - ``sig_config``: the config ``aux`` was built under.
     - ``node_bits``: the node aggregates bit-sliced, where a node's
       aggregate is the OR of its descendant members' signatures. Row ``p``
       is the set of nodes whose aggregate has bit ``p`` (bit ``p % 64`` of
@@ -142,13 +143,13 @@ class SubgraphIndex:
     """
 
     index_config: IndexConfig
-    aux: AuxData
-    keyword_names: tuple[str, ...]
+    aux: InitVar[AuxData]
     vertex_count: int
     graph_fingerprint: bytes
     child_counts: np.ndarray
     leaf_sizes: np.ndarray
     permutation: np.ndarray
+    sig_config: SignatureConfig = field(init=False)
     node_bits: np.ndarray = field(init=False, repr=False)
     leaf_mask: np.ndarray = field(init=False, repr=False)
     leaf_nodes: np.ndarray = field(init=False, repr=False)
@@ -156,14 +157,15 @@ class SubgraphIndex:
     bv_neg: np.ndarray = field(init=False, repr=False)
     nbv_neg: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, aux: AuxData) -> None:
+        self.sig_config = aux.cfg
         cc = self.child_counts
         n = cc.size
         leaf = cc == 0
         self.leaf_nodes = np.flatnonzero(leaf)
         first_member = np.cumsum(self.leaf_sizes) - self.leaf_sizes
         self.leaf_members = _padded(first_member, self.leaf_sizes, self.permutation)
-        bv = self.aux.bv
+        bv = aux.bv
         agg = np.empty((n, bv.shape[1]), dtype=bv.dtype)
         agg[leaf] = np.bitwise_or.reduceat(bv[self.permutation], first_member)
         # bottom-up: depth d + 1, in [hi, end), holds the children of the
@@ -177,11 +179,7 @@ class SubgraphIndex:
         sets = _node_sets(agg, leaf)
         self.node_bits, self.leaf_mask = sets[:-1], sets[-1]
         self.bv_neg = np.ascontiguousarray(~bv.T)
-        self.nbv_neg = np.ascontiguousarray(~self.aux.nbv.T)
-
-    @property
-    def sig_config(self) -> SignatureConfig:
-        return self.aux.cfg
+        self.nbv_neg = np.ascontiguousarray(~aux.nbv.T)
 
     def depth(self) -> int:
         return len(_level_starts(self.child_counts)) - 2
@@ -367,25 +365,20 @@ def _split(
 
 def build_index(
     g: DataGraph,
-    sig_config: SignatureConfig | None = None,
     index_config: IndexConfig | None = None,
     aux: AuxData | None = None,
 ) -> SubgraphIndex:
-    """Build the tree for ``g``; precomputed ``aux`` is reused when given.
+    """Build the tree for ``g`` over the signatures ``aux``.
 
-    Without ``sig_config`` the signatures follow ``aux``'s config, or the
-    default one when there is no ``aux``.
+    Without ``aux`` the signatures are built under the default
+    :class:`SignatureConfig`; pass ``build_aux(g, cfg)`` for another one.
     """
     if g.vertex_count == 0:
         raise ValueError("cannot index an empty graph")
-    if sig_config is None:
-        sig_config = aux.cfg if aux is not None else SignatureConfig()
     index_config = index_config or IndexConfig()
     if aux is None:
-        aux = build_aux(g, sig_config)
-    elif aux.cfg != sig_config:
-        raise ValueError("aux data was built with a different signature config")
-    bits = _unpack_bits(aux.bv, sig_config).astype(np.float32)
+        aux = build_aux(g, SignatureConfig())
+    bits = _unpack_bits(aux.bv, aux.cfg).astype(np.float32)
     rng = np.random.default_rng(index_config.seed)
     # The splits run depth-first, which fixes the order of the random draws;
     # the nodes are then numbered breadth-first.
@@ -399,7 +392,6 @@ def build_index(
     return SubgraphIndex(
         index_config=index_config,
         aux=aux,
-        keyword_names=tuple(g.keyword_names),
         vertex_count=g.vertex_count,
         graph_fingerprint=g.fingerprint,
         child_counts=np.array(child_counts, dtype=np.int64),
@@ -420,31 +412,16 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
-def check_keyword_names(names: Sequence[str]) -> None:
-    """Refuse a keyword name longer than :data:`MAX_KEYWORD_BYTES` UTF-8 bytes.
-
-    The index file cannot hold one, so ``s3and index`` calls this before it
-    builds anything.
-    """
-    for name in names:
-        size = len(name.encode("utf-8"))
-        if size > MAX_KEYWORD_BYTES:
-            raise ValueError(
-                f"a keyword name has {size} UTF-8 bytes; an index file "
-                f"holds at most {MAX_KEYWORD_BYTES}"
-            )
-
-
 def save_index(index: SubgraphIndex, path: str | Path) -> None:
     """Write the index to a little-endian binary file.
 
-    The file holds the configs, the keyword table, the graph fingerprint,
-    the per-vertex signatures and the tree shape, sealed by a digest; what
-    the shape and the signatures determine is derived again on load. A
-    keyword name too long for the file (see :func:`check_keyword_names`)
-    raises ``ValueError`` before anything is written.
+    The file holds the configs, the graph fingerprint, the per-vertex
+    signatures (the complements ``bv_neg`` and ``nbv_neg`` inverted back)
+    and the tree shape, sealed by a digest; what the shape and the
+    signatures determine is derived again on load. It holds no keyword
+    names: the fingerprint digests them, so ``run_query`` still refuses a
+    graph with other names.
     """
-    check_keyword_names(index.keyword_names)
     sig = index.sig_config
     idx = index.index_config
     chunks = [
@@ -462,14 +439,9 @@ def save_index(index: SubgraphIndex, path: str | Path) -> None:
             index.vertex_count,
             index.node_count(),
         ),
-        # keyword intern table
-        struct.pack("<I", len(index.keyword_names)),
+        index.graph_fingerprint,
     ]
-    for name in index.keyword_names:
-        data = name.encode("utf-8")
-        chunks += [struct.pack("<H", len(data)), data]
-    chunks.append(index.graph_fingerprint)
-    chunks += [index.aux.bv.astype("<u8").tobytes(), index.aux.nbv.astype("<u8").tobytes()]
+    chunks += [(~neg.T).astype("<u8").tobytes() for neg in (index.bv_neg, index.nbv_neg)]
     chunks += [
         shape.astype("<u4").tobytes()
         for shape in (index.child_counts, index.leaf_sizes, index.permutation)
@@ -551,11 +523,6 @@ def load_index(path: str | Path) -> SubgraphIndex:
         local_iter=local_iter,
         seed=idx_seed,
     )
-    (name_count,) = struct.unpack("<I", take(4))
-    names = []
-    for _ in range(name_count):
-        (length,) = struct.unpack("<H", take(2))
-        names.append(take(length).decode("utf-8"))
     fingerprint = take(FINGERPRINT_SIZE)
     sig_shape = (vertex_count, sig_config.group_count * sig_config.words_per_group)
     sig_bytes = math.prod(sig_shape) * 8
@@ -572,7 +539,6 @@ def load_index(path: str | Path) -> SubgraphIndex:
     return SubgraphIndex(
         index_config=index_config,
         aux=AuxData(sig_config, bv, nbv),
-        keyword_names=tuple(names),
         vertex_count=vertex_count,
         graph_fingerprint=fingerprint,
         child_counts=child_counts,

@@ -70,8 +70,6 @@ class QuerySideData:
     without keywords needs no special case.
     """
 
-    cfg: SignatureConfig
-    query: QueryGraph
     bits: np.ndarray  # (groups * words, nq)
     neighbor_bits: np.ndarray  # (max(1, max degree), groups * words, nq)
     degrees: np.ndarray  # (nq,)
@@ -95,8 +93,6 @@ def build_query_side(q: QueryGraph, cfg: SignatureConfig) -> QuerySideData:
     bit = _keyword_table(cfg, q.keyword_domain_size)[2].tolist()
     rows = np.array([b for ks in q.keywords for b in (-1, *map(bit.__getitem__, ks))])
     return QuerySideData(
-        cfg=cfg,
-        query=q,
         bits=np.ascontiguousarray(words[:, :nq]),
         neighbor_bits=np.ascontiguousarray(words[:, slots].transpose(1, 0, 2)),
         degrees=np.array(degrees, dtype=np.int64),

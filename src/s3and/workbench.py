@@ -38,7 +38,7 @@ from .engine import Ablation, QueryResult, make_query_plan, refine, run_query
 from .graph import DataGraph, QueryGraph, induced_subgraph, is_connected, make_graph
 from .index import IndexConfig, build_index
 from .semantics import AggregateKind, QuerySpec, keyword_feasible
-from .signatures import SignatureConfig
+from .signatures import SignatureConfig, build_aux
 
 __all__ = [
     "SyntheticSpec",
@@ -319,7 +319,7 @@ def _run_cell(cell: _Cell, cfg: BenchConfig) -> BenchRow:
     gspec = replace(cell.graph_spec, seed=int(seeds[0]))
     wspec = replace(cell.workload_spec, seed=int(seeds[1]))
     g = generate_graph(gspec)
-    index = build_index(g, SIG_CONFIG, INDEX_CONFIG)
+    index = build_index(g, INDEX_CONFIG, build_aux(g, SIG_CONFIG))
     queries = generate_workload(g, wspec)
     powers: list[float] = []
     engine_ms: list[float] = []

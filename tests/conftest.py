@@ -28,6 +28,7 @@ from s3and import (
     SignatureConfig,
     SyntheticSpec,
     WorkloadSpec,
+    build_aux,
     build_index,
     degree_shortfall,
     generate_graph,
@@ -317,13 +318,13 @@ def node_aggregates(index, rows: np.ndarray) -> np.ndarray:
     return np.array([np.bitwise_or.reduce(rows[m], axis=0) for m in members])
 
 
-def node_nbv_neg(index) -> np.ndarray:
-    """Complemented node aggregates of the neighborhood signatures, word-major.
+def node_nbv_neg(index, g: DataGraph) -> np.ndarray:
+    """Complemented node aggregates of ``g``'s neighborhood signatures, word-major.
 
     The index keeps the neighborhood signatures of vertices only; the
     node-bound soundness checks read this by node id.
     """
-    return complemented(node_aggregates(index, index.aux.nbv))
+    return complemented(node_aggregates(index, build_aux(g, index.sig_config).nbv))
 
 
 def bit_slices(agg: np.ndarray) -> np.ndarray:
@@ -347,9 +348,14 @@ def node_contained(index, qside: QuerySideData) -> np.ndarray:
 
 
 def derived_arrays(index) -> dict[str, np.ndarray]:
-    """The fields an index derives on construction, by name."""
+    """The arrays an index derives on construction, by name.
+
+    ``sig_config`` is derived too, but it is a config, not an array.
+    """
     return {
-        f.name: getattr(index, f.name) for f in dataclasses.fields(index) if not f.init
+        f.name: getattr(index, f.name)
+        for f in dataclasses.fields(index)
+        if not f.init and f.name != "sig_config"
     }
 
 
@@ -397,7 +403,7 @@ def depth_bound(cfg: IndexConfig, size: int) -> int:
 def audit_structure(index, g) -> None:
     """The shape is a balanced tree over ``g`` and every derived array agrees."""
     cfg = index.index_config
-    aux = index.aux
+    aux = build_aux(g, index.sig_config)
     children, members = tree_walk(index)
     # leaves partition the vertex set
     assert sorted(members[0]) == list(range(g.vertex_count))
@@ -436,14 +442,16 @@ def audit_structure(index, g) -> None:
 # node gets the keyword check only; a leaf's members get every check.
 
 
-def _query_rows(qside: QuerySideData) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _query_rows(
+    q: QueryGraph, cfg: SignatureConfig
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The query's own signature rows, its neighbors' rows and its degrees.
 
-    Built from the query graph itself, not from ``qside``'s batch layout,
-    so the reference shares no query-side data with the engine.
+    Built from the query graph itself, not from a :class:`QuerySideData`
+    batch layout, so the reference shares no query-side data with the
+    engine.
     """
-    q = qside.query
-    bv = build_bit_vectors(q.keywords, qside.cfg, q.keyword_domain_size)
+    bv = build_bit_vectors(q.keywords, cfg, q.keyword_domain_size)
     nbr_rows = [bv[list(a)] for a in q.adjacency]
     degrees = np.array([len(a) for a in q.adjacency], dtype=np.int64)
     return bv, nbr_rows, degrees
@@ -493,21 +501,23 @@ def _leaf_survivors(
 
 def reference_candidates(
     index,
-    qside: QuerySideData,
+    g: DataGraph,
+    q: QueryGraph,
     sigma: int,
-    degrees: np.ndarray,
     ablation: Ablation = Ablation.KS_LB_TIGHT,
 ) -> tuple[list[np.ndarray], int]:
     """Per-node reference traversal: the oracle for ``collect_candidates``.
 
     Pops one (node, live query vertices) entry at a time from a stack,
     tests each child against the live set, and runs the member checks at
-    leaves. It shares no traversal code with the engine, so equal
-    candidates and visit counts check the vectorized traversal.
+    leaves. It shares no traversal code with the engine and builds its own
+    signatures over ``g`` and ``q``, so equal candidates and visit counts
+    check the vectorized traversal.
     """
-    query_rows = _query_rows(qside)
+    query_rows = _query_rows(q, index.sig_config)
     nq = len(query_rows[1])
-    bv, nbv = index.aux.bv, index.aux.nbv
+    aux = build_aux(g, index.sig_config)
+    bv, nbv, degrees = aux.bv, aux.nbv, g.degree_vector
     children, members = tree_walk(index)
     buckets: list[list[np.ndarray]] = [[] for _ in range(nq)]
     stack = [(0, np.arange(nq, dtype=np.int64))]

@@ -256,7 +256,7 @@ def test_criterion_03_bound_soundness(pool, pool_indexes):
                     assert pair_shortfall(degrees, vi, side, qj) <= nd
                     assert pair_uncovered(nbv_neg, vi, side, qj) <= nd
         # node bound never exceeds any member's tight bound
-        nodes_neg = node_nbv_neg(index)
+        nodes_neg = node_nbv_neg(index, g)
         for node, members in enumerate(tree_walk(index)[1]):
             for qj in range(q.vertex_count):
                 node_lb = pair_uncovered(nodes_neg, node, side, qj)
@@ -277,7 +277,7 @@ def test_criterion_04_pruning_soundness(pool, pool_indexes, pool_answers):
         index = pool_indexes[i]
         side = build_query_side(q, SIG)
         node_members = [set(members) for members in tree_walk(index)[1]]
-        nodes_neg = node_nbv_neg(index)
+        nodes_neg = node_nbv_neg(index, g)
         # the nodes the traversal keeps for each query vertex
         kept = node_contained(index, side)
         for aggregate in (MAX, SUM):
@@ -411,7 +411,7 @@ def test_criterion_10_traversal_and_plan_invariance(pool, pool_indexes):
         res = run_query(index, g, spec)
         qside = build_query_side(q, index.sig_config)
         raw, _ = collect_candidates(index, qside, sigma, g.degree_vector)
-        ref_raw, visited = reference_candidates(index, qside, sigma, g.degree_vector)
+        ref_raw, visited = reference_candidates(index, g, q, sigma)
         assert res.stats.nodes_visited == visited
         assert all(
             a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(raw, ref_raw)

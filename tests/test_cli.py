@@ -18,7 +18,6 @@ from s3and import (
     load_index,
     load_query,
 )
-from s3and import index as index_module
 from s3and.cli import main
 from tests.conftest import TEAM_GRAPH_TEXT, TEAM_QUERY_TEXT
 from tests.test_index import huge_node_count, resealed_node_count, zeroed_signatures
@@ -161,58 +160,27 @@ def test_query_baseline_and_oracle_write_the_same_stats(team_files, tmp_path, ca
     assert oracle["answers"] == stats["query"]["answers"] == stats["baseline"]["answers"]
 
 
-def test_keyword_names_up_to_the_index_limit_save(tmp_path, capsys):
+def test_keyword_names_of_any_length_index_and_query(tmp_path, capsys):
+    # the index file stores no keyword names, so their length is no limit:
+    # 70,000 ASCII bytes, and 40,000 two-byte characters
+    long_ascii, long_utf8 = "k" * 70_000, "\u00e9" * 40_000
+    # a 40-vertex path: more vertices than the default fanout, so the build
+    # splits the root
+    names = [long_ascii, long_utf8] + ["b"] * 38
+    vertices = "".join(f"v {v} {name}\n" for v, name in enumerate(names))
+    edges = "".join(f"e {v} {v + 1}\n" for v in range(39))
     graph = tmp_path / "long.graph"
-    name = "k" * 65_535
-    graph.write_text(f"t 2 1\nv 0 {name}\nv 1 b\ne 0 1\n", encoding="utf-8")
+    graph.write_text(f"t 40 39\n{vertices}{edges}", encoding="utf-8")
+    query = tmp_path / "long.query"
+    query.write_text(
+        f"t 2 1\nv 0 {long_ascii}\nv 1 {long_utf8}\ne 0 1\n", encoding="utf-8"
+    )
     idx = tmp_path / "long.idx"
     run(capsys, "index", "--graph", graph, "--out", idx)
-    assert name in load_index(idx).keyword_names
-
-
-# one ASCII byte past the limit, and 32,768 two-byte characters: fewer
-# characters than the limit, more bytes
-@pytest.mark.parametrize("name", ["k" * 65_536, "\u00e9" * 32_768], ids=["ascii", "utf8"])
-def test_keyword_name_past_the_index_limit_is_a_one_line_error(tmp_path, capsys, name):
-    graph = tmp_path / "long.graph"
-    graph.write_text(f"t 2 1\nv 0 {name}\nv 1 b\ne 0 1\n", encoding="utf-8")
-    idx = tmp_path / "long.idx"
-    assert_one_line_error(
-        capsys, ["index", "--graph", graph, "--out", idx], "at most 65535"
-    )
-    assert not idx.exists()
-
-
-def test_keyword_name_past_the_index_limit_is_refused_before_the_build(
-    tmp_path, capsys, monkeypatch
-):
-    calls = []
-    split = index_module._cm_partitioning
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].size)
-        return split(*args, **kwargs)
-
-    monkeypatch.setattr(index_module, "_cm_partitioning", spy)
-    # a 40-vertex path: more vertices than the default fanout, so a build
-    # splits the root
-    edges = "".join(f"e {v} {v + 1}\n" for v in range(39))
-    graph = tmp_path / "path.graph"
-    idx = tmp_path / "path.idx"
-    for name, refused in (("k" * 65_535, False), ("k" * 65_536, True)):
-        vertices = f"v 0 {name}\n" + "".join(f"v {v} b\n" for v in range(1, 40))
-        graph.write_text(f"t 40 39\n{vertices}{edges}", encoding="utf-8")
-        calls.clear()
-        if refused:
-            assert_one_line_error(
-                capsys, ["index", "--graph", graph, "--out", tmp_path / "x.idx"],
-                "at most 65535",
-            )
-            assert calls == []
-            assert not (tmp_path / "x.idx").exists()
-        else:
-            run(capsys, "index", "--graph", graph, "--out", idx)
-            assert calls[0] == 40
+    spec = ["--graph", graph, "--query", query, "--agg", "max", "--sigma", 1]
+    answers = run(capsys, "query", "--index", idx, *spec)
+    assert answers == run(capsys, "baseline", *spec)
+    assert answers.strip()
 
 
 def test_bench_writes_csv_and_json(tmp_path, capsys):
@@ -384,7 +352,7 @@ def test_malformed_graph_is_a_one_line_error(team_files, tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize(
-    "damage", ["zeroed_signatures", "huge_node_count", "node_count_plus_one"]
+    "damage", ["zeroed_signatures", "huge_node_count", "node_count_plus_one", "version_3"]
 )
 def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage):
     graph, query = team_files
@@ -396,8 +364,11 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
         data = zeroed_signatures(data, index, range(index.vertex_count))
     elif damage == "huge_node_count":
         data = huge_node_count(data)
-    else:
+    elif damage == "node_count_plus_one":
         data = resealed_node_count(data, 1)
+    else:
+        # a version-3 file also stored the keyword table; it is refused, not read
+        data = data[:8] + bytes([3]) + data[9:]
     idx.write_bytes(data)
     assert_one_line_error(
         capsys,
@@ -405,7 +376,10 @@ def test_damaged_index_is_a_one_line_error(team_files, tmp_path, capsys, damage)
             "query", "--index", idx, "--graph", graph, "--query", query,
             "--agg", "max", "--sigma", 1,
         ],
-        "truncated" if damage == "node_count_plus_one" else "digest mismatch",
+        {
+            "node_count_plus_one": "truncated",
+            "version_3": "unsupported index version 3",
+        }.get(damage, "digest mismatch"),
     )
 
 

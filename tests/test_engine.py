@@ -13,6 +13,7 @@ from s3and import (
     QuerySpec,
     SignatureConfig,
     aggregated_neighbor_difference,
+    build_aux,
     build_index,
     build_query_side,
     collect_candidates,
@@ -108,7 +109,7 @@ def test_exact_filter_drops_signature_survivors(team_graph, team_query):
     # a one-bit signature makes every labeled vertex pass the bit check,
     # so the exact recheck has to do all the work
     weak = SignatureConfig(group_count=1, bits_per_group=1)
-    index = build_index(team_graph, sig_config=weak)
+    index = build_index(team_graph, aux=build_aux(team_graph, weak))
     raw, _ = collect(index, team_graph, team_query, sigma=2)
     assert all(len(c) == 12 for c in raw)
     cands = exact_keyword_filter(team_graph, team_query, raw)
@@ -128,7 +129,7 @@ def test_hash_collisions_never_reach_the_candidates():
         cfg = SignatureConfig(group_count=1, bits_per_group=bits)
         for _ in range(3):
             g, q = random_instance(rng, max_vertices=40)
-            index = build_index(g, sig_config=cfg)
+            index = build_index(g, aux=build_aux(g, cfg))
             for aggregate, sigma in ((MAX, 1), (SUM, 2)):
                 spec = QuerySpec(query=q, aggregate=aggregate, sigma=sigma)
                 res = run_query(index, g, spec)
@@ -165,7 +166,7 @@ def test_recheck_runs_only_where_a_query_keyword_shares_its_bit(monkeypatch):
         names,
     )
     q = make_graph(3, [(0, 1), (1, 2)], [[0, 3], [1], [2]], names)
-    index = build_index(g, sig_config=cfg)
+    index = build_index(g, aux=build_aux(g, cfg))
     rechecked = []
     containing = engine._containing
     monkeypatch.setattr(
@@ -191,7 +192,7 @@ def test_unknown_query_token_is_rechecked():
     cfg = SignatureConfig(group_count=1, bits_per_group=4)
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)], [[0], [1], [0, 2], [3]], "abcd")
     assert exact_keywords(cfg, 4) == {0, 1, 2, 3}
-    index = build_index(g, sig_config=cfg)
+    index = build_index(g, aux=build_aux(g, cfg))
     q = parse_query("t 2 1\nv 0 zz\nv 1 b\ne 0 1\n", g)
     assert q.keywords[0] == (4,)
     raw, _ = collect(index, g, q, sigma=1)
@@ -610,7 +611,7 @@ def test_run_query_rejects_foreign_keyword_table(small_index, team_graph, team_q
         [list(k) for k in team_graph.keywords],
         [n.upper() for n in team_graph.keyword_names],
     )
-    with pytest.raises(ValueError, match="keyword table"):
+    with pytest.raises(ValueError, match="different graph"):
         run_query(small_index, renamed, QuerySpec(query=team_query, aggregate=MAX, sigma=2))
 
 
@@ -665,15 +666,12 @@ def assert_matches_reference_walk(g, q, index) -> None:
     At every ablation level and sigma 0-3, both from
     :func:`collect_candidates` and from :func:`run_query`.
     """
-    qside = build_query_side(q, index.sig_config)
     for ab in Ablation:
         for sigma in range(4):
             spec = QuerySpec(query=q, aggregate=MAX, sigma=sigma)
             raw, visited = collect(index, g, q, sigma, ablation=ab)
             res = run_query(index, g, spec, ablation=ab)
-            ref_raw, ref_visited = reference_candidates(
-                index, qside, sigma, g.degree_vector, ab
-            )
+            ref_raw, ref_visited = reference_candidates(index, g, q, sigma, ab)
             assert visited == res.stats.nodes_visited == ref_visited
             assert len(raw) == len(ref_raw)
             for a, b in zip(raw, ref_raw):

@@ -47,18 +47,16 @@ def _shape_and_derived(index) -> dict[str, np.ndarray]:
 
 
 def structurally_equal(a, b) -> bool:
-    """Compare two indexes array by array: shape, derived tables and aux."""
+    """Compare two indexes array by array: shape and derived tables.
+
+    The derived tables include ``bv_neg`` and ``nbv_neg``, the only copy of
+    the signatures an index keeps.
+    """
     if (
         a.index_config != b.index_config
         or a.sig_config != b.sig_config
-        or a.keyword_names != b.keyword_names
         or a.vertex_count != b.vertex_count
         or a.graph_fingerprint != b.graph_fingerprint
-    ):
-        return False
-    if not (
-        np.array_equal(a.aux.bv, b.aux.bv)
-        and np.array_equal(a.aux.nbv, b.aux.nbv)
     ):
         return False
     arrays_a, arrays_b = _shape_and_derived(a), _shape_and_derived(b)
@@ -356,19 +354,16 @@ def test_build_small_graph_is_single_leaf(team_graph):
     assert index.node_count() == 1
 
 
-def test_build_rejects_mismatched_aux(team_graph):
-    aux = build_aux(team_graph, SignatureConfig(group_count=3))
-    with pytest.raises(ValueError):
-        build_index(team_graph, sig_config=SignatureConfig(group_count=5), aux=aux)
-
-
 def test_build_takes_the_signature_config_from_aux(team_graph):
     cfg = SignatureConfig(bits_per_group=8)
     aux = build_aux(team_graph, cfg)
     index = build_index(team_graph, aux=aux)
     assert index.sig_config == cfg
-    assert index.aux is aux
-    assert structurally_equal(index, build_index(team_graph, sig_config=cfg))
+    # aux is read on construction and not kept: the complements are the
+    # only copy of its signatures
+    assert not hasattr(index, "aux")
+    assert np.array_equal(index.bv_neg, ~aux.bv.T)
+    assert np.array_equal(index.nbv_neg, ~aux.nbv.T)
 
 
 def test_build_thousand_vertex_audit():
@@ -440,7 +435,7 @@ def test_bit_sliced_node_table_matches_the_aggregates(tmp_path):
     loaded = load_index(path)
     n = built.node_count()
     assert built.depth() >= 2 and n % 64
-    expect = bit_slices(node_aggregates(built, built.aux.bv))
+    expect = bit_slices(node_aggregates(built, build_aux(g, built.sig_config).bv))
     for index in (built, loaded):
         sets = node_sets(index.node_bits, n)
         assert np.array_equal(sets[:-1], expect)
@@ -449,17 +444,18 @@ def test_bit_sliced_node_table_matches_the_aggregates(tmp_path):
 
 def test_index_file_bytes_are_pinned(tmp_path):
     # a change to any signature bit, the tree or the file layout changes
-    # these bytes; the expected digest was taken from the format-3 writer
-    # before the signatures were built in bulk
+    # these bytes; the expected digest is the format-3 file's, pinned before
+    # the signatures were built in bulk, with its 204-byte keyword table cut,
+    # the version byte set to 4 and the digest sealed again
     g = generate_graph(SyntheticSpec(vertex_count=300, seed=5))
     path = tmp_path / "pinned.idx"
     save_index(build_index(g), path)
     data = path.read_bytes()
-    assert len(data) == 27_125
+    assert len(data) == 26_921
     assert hashlib.sha256(data).hexdigest() == (
-        "64c5257bee2b092db4ba1312c22521550fb15dd289f70f0bcf17561ef5e8edb1"
+        "70a4ec7c21ec501b81b62b0f85bfc9e9c4f5ab86c36613081bf82310c5db1fb3"
     )
-    assert load_index(path).aux.bv.shape == (300, 5)
+    assert load_index(path).bv_neg.shape == (5, 300)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -472,7 +468,7 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_unsupported_version(saved_index, tmp_path):
     _, path = saved_index
     data = bytearray(path.read_bytes())
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         data[8] = version  # version byte follows the magic
         bad = tmp_path / f"vers{version}.idx"
         bad.write_bytes(bytes(data))
@@ -500,7 +496,7 @@ def _damaged_copy(path, index, damage, out):
     return out
 
 
-# the node count is the header's last field, right before the keyword table
+# the node count is the header's last field, right before the graph fingerprint
 _NODE_COUNT_AT = 9 + _HEADER.size - 8
 
 
@@ -546,7 +542,7 @@ def test_load_rejects_zeroed_signatures(tmp_path):
         load_index(bad)
     # the digest is what notices: sealed again, the same bytes load
     bad.write_bytes(_sealed(zeroed[:-DIGEST_SIZE]))
-    assert not load_index(bad).aux.bv[100].any()
+    assert load_index(bad).bv_neg[:, 100].all()
 
 
 def test_load_rejects_huge_node_count(saved_index, tmp_path):

@@ -228,11 +228,11 @@ def test_index_node_bounds_hold_on_random_build():
         seed=11,
     )
     g = generate_graph(spec)
-    index = build_index(g, sig_config=CFG)
+    index = build_index(g, aux=build_aux(g, CFG))
     q = generate_workload(g, WorkloadSpec(query_count=1, query_size=4, seed=11))[0]
     side = build_query_side(q, CFG)
     _, members = tree_walk(index)
-    nodes_neg = node_nbv_neg(index)
+    nodes_neg = node_nbv_neg(index, g)
     for node, descendants in enumerate(members):
         for qj in range(q.vertex_count):
             node_lb = pair_uncovered(nodes_neg, node, side, qj)
